@@ -172,6 +172,18 @@ def cmd_mutate(args) -> int:
     return OK
 
 
+def _etale_check(args) -> list[verify.CheckResult]:
+    if args.n is None or args.k is None:
+        raise SpecError("the etale check needs --n and --k")
+    return [verify.check_etale(args.n, args.k)]
+
+
+def _quadric_check(args) -> list[verify.CheckResult]:
+    if args.q_dim is None:
+        raise SpecError("the quadric check needs --q-dim")
+    return [verify.check_quadric(args.q_dim)]
+
+
 def _verify_checks(args) -> list[verify.CheckResult]:
     if args.check:
         named = {
@@ -182,22 +194,18 @@ def _verify_checks(args) -> list[verify.CheckResult]:
         if args.check in named:
             return [named[args.check]()]
         if args.check == "etale":
-            if args.n is None or args.k is None:
-                raise SpecError("the etale check needs --n and --k")
-            return [verify.check_etale(args.n, args.k)]
+            return _etale_check(args)
         if args.check == "quadric":
-            if args.q_dim is None:
-                raise SpecError("the quadric check needs --q-dim")
-            return [verify.check_quadric(args.q_dim)]
+            return _quadric_check(args)
         if args.check == "projective-rank":
             return [verify.check_projective_rank(_load_spec(args))]
         if args.check == "burnside-total":
             return [verify.check_burnside_total(_load_spec(args))]
         raise SpecError(f"unknown check {args.check!r}")
     if args.preset == "etale":
-        return [verify.check_etale(args.n, args.k)]
+        return _etale_check(args)
     if args.preset == "quadric":
-        return [verify.check_quadric(args.q_dim)]
+        return _quadric_check(args)
     if args.preset or args.input:
         spec = _load_spec(args)
         return [verify.check_projective_rank(spec), verify.check_burnside_total(spec)]

@@ -142,7 +142,22 @@ def euler_pairing(spec: ActionSpec, first: KObject, second: KObject) -> int:
 
 
 def gram(spec: ActionSpec, objects: list[KObject]) -> list[list[int]]:
-    return [[euler_pairing(spec, e, f) for f in objects] for e in objects]
+    """Matrix of ``euler_pairing`` over all ordered pairs, expanding each
+    object's Koszul resolution once rather than once per pair."""
+    _check_ambient(spec)
+    rank = spec.rank
+    targets = [(_char_values(spec, f.support), f.twist, bit_value(f.char)) for f in objects]
+    rows = []
+    for e in objects:
+        terms = koszul(spec, e)
+        rows.append([
+            sum(
+                sign * _cohomology(chars, rank, twist - t)[char ^ value]
+                for t, value, sign in terms
+            )
+            for chars, twist, char in targets
+        ])
+    return rows
 
 
 def is_unipotent_upper(matrix: list[list[int]]) -> bool:

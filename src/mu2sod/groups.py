@@ -120,7 +120,7 @@ class ActionSpec:
                     f"action row of length {len(row)}, expected {c} for "
                     f"{self.kind} of dimension {self.dim}"
                 )
-            if any(not isinstance(b, int) or b not in (0, 1) for b in row):
+            if any(not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1) for b in row):
                 raise SpecError("action matrix entries must be 0 or 1")
         if self.kind == "affine" and self.rank > c:
             raise SpecError(
@@ -183,7 +183,7 @@ def parse_spec(text: str) -> ActionSpec:
         action = doc["action"]
     except (KeyError, TypeError) as exc:
         raise SpecError(f"missing or malformed field: {exc}") from exc
-    if not isinstance(dim, int) or not isinstance(rank, int):
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (dim, rank)):
         raise SpecError("space.dim and group_rank must be integers")
     if not isinstance(action, list) or any(not isinstance(r, list) for r in action):
         raise SpecError("action must be an array of bit rows")

@@ -8,20 +8,56 @@ upper triangular for the sequence to be semiorthogonal.
 
 A left mutation at position i replaces the adjacent pair (a, b) by
 (b - pairing(a, b) * a, a); a right mutation is the inverse braid move.
-Both are unimodular column operations, so the basis stays a basis.
+Both are unimodular operations on the basis, so the basis stays a basis,
+and both act on the pairing matrix G = V B V^T by congruence: the same
+operation on rows p, q, then on columns p, q.
 Blocks partition the positions into contiguous runs; block moves in
 ``apply_script`` compose elementwise mutations so that a whole block
 passes an adjacent one, then swap the two block sizes.
+
+Cost model.  A sequence carries G, computed once at construction (it is
+B itself for the identity basis), so a pairing is a lookup and an
+elementary mutation costs O(N).  A script runs its block moves, and
+their elementary steps, on one mutable working copy of (vectors, G) and
+freezes it once, O(N^2); a single ``move_block`` call thaws and freezes
+once.
+The final checks never read the carried G and cost O(N^3):
+``is_semiorthogonal`` recomputes V B V^T from the form and the vectors,
+and ``determinant`` is Bareiss fraction-free elimination.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
+from operator import mul
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
+
+
+def _block_bounds(blocks: tuple[int, ...]) -> list[tuple[int, int]]:
+    out, start = [], 0
+    for size in blocks:
+        out.append((start, start + size))
+        start += size
+    return out
+
+
+def _identity(n: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _pairing_matrix(form: Matrix, vectors: Matrix) -> Matrix:
+    """V B V^T from scratch, by one matrix product."""
+    vb = []
+    for v in vectors:
+        row = [0] * len(form)
+        for x, form_row in zip(v, form):
+            if x:
+                row = [r + x * b for r, b in zip(row, form_row)]
+        vb.append(row)
+    return tuple(tuple(sum(map(mul, w, v)) for v in vectors) for w in vb)
 
 
 @dataclass(frozen=True)
@@ -29,6 +65,9 @@ class ExceptionalSequence:
     form: Matrix
     vectors: Matrix
     blocks: tuple[int, ...]
+    # Pairing matrix V B V^T.  Callers leave it out and it is computed at
+    # construction; a working copy passes the matrix it carried.
+    gram: Matrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.form)
@@ -38,17 +77,16 @@ class ExceptionalSequence:
             raise ValueError("need N lattice vectors of length N")
         if sum(self.blocks) != n or any(b <= 0 for b in self.blocks):
             raise ValueError("blocks must be a partition of the positions")
+        if self.gram is None:
+            gram = self.form if self.vectors == _identity(n) else _pairing_matrix(self.form, self.vectors)
+            object.__setattr__(self, "gram", gram)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def block_bounds(self) -> list[tuple[int, int]]:
         """Half-open position ranges of the blocks."""
-        out, start = [], 0
-        for size in self.blocks:
-            out.append((start, start + size))
-            start += size
-        return out
+        return _block_bounds(self.blocks)
 
     def to_dict(self) -> dict:
         return {
@@ -58,11 +96,29 @@ class ExceptionalSequence:
         }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(value, name: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+        raise ValueError(f"{name} must be a list of integers")
+    return tuple(value)
+
+
+def _int_rows(value, name: str) -> Matrix:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of integer lists")
+    return tuple(_int_list(row, f"each row of {name}") for row in value)
+
+
 def sequence_from_dict(doc: dict) -> ExceptionalSequence:
+    if not isinstance(doc, dict) or any(k not in doc for k in ("form", "vectors", "blocks")):
+        raise ValueError("sequence must be an object with form, vectors and blocks")
     return ExceptionalSequence(
-        tuple(tuple(r) for r in doc["form"]),
-        tuple(tuple(v) for v in doc["vectors"]),
-        tuple(doc["blocks"]),
+        _int_rows(doc["form"], "form"),
+        _int_rows(doc["vectors"], "vectors"),
+        _int_list(doc["blocks"], "blocks"),
     )
 
 
@@ -70,64 +126,117 @@ def identity_sequence(form, blocks=None) -> ExceptionalSequence:
     """Standard-basis sequence on a given form; one block per position
     unless a block partition is supplied."""
     n = len(form)
-    vectors = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     if blocks is None:
         blocks = (1,) * n
-    return ExceptionalSequence(tuple(tuple(r) for r in form), vectors, tuple(blocks))
+    return ExceptionalSequence(tuple(tuple(r) for r in form), _identity(n), tuple(blocks))
 
 
 def pairing(seq: ExceptionalSequence, i: int, j: int) -> int:
-    """v_i^T B v_j (0-based positions)."""
+    """v_i^T B v_j (0-based positions), read from the carried matrix."""
     n = len(seq)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"positions ({i}, {j}) out of range for N={n}")
-    vi, vj = seq.vectors[i], seq.vectors[j]
-    bv = [sum(row[c] * vj[c] for c in range(n)) for row in seq.form]
-    return sum(vi[r] * bv[r] for r in range(n))
+    return seq.gram[i][j]
 
 
 def gram_matrix(seq: ExceptionalSequence) -> list[list[int]]:
-    n = len(seq)
-    return [[pairing(seq, i, j) for j in range(n)] for i in range(n)]
+    """V B V^T recomputed from the form and the vectors; the carried
+    matrix is not read."""
+    return [list(r) for r in _pairing_matrix(seq.form, seq.vectors)]
 
 
 def is_semiorthogonal(seq: ExceptionalSequence) -> bool:
-    """pairing(i, i) = 1 for all i and pairing(i, j) = 0 for i > j."""
+    """pairing(i, i) = 1 for all i and pairing(i, j) = 0 for i > j,
+    checked on a recomputed pairing matrix."""
     m = gram_matrix(seq)
-    n = len(seq)
-    return all(m[i][i] == 1 for i in range(n)) and all(
-        m[i][j] == 0 for i in range(n) for j in range(i)
-    )
+    return all(row[i] == 1 and not any(row[:i]) for i, row in enumerate(m))
 
 
 def determinant(vectors: Matrix) -> int:
-    """Exact integer determinant (fraction-free elimination)."""
-    n = len(vectors)
-    m = [[Fraction(x) for x in row] for row in vectors]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
+    """Exact integer determinant (Bareiss fraction-free elimination)."""
+    m = [list(row) for row in vectors]
+    n = len(m)
+    sign, previous = 1, 1
+    for col in range(n - 1):
+        if not m[col][col]:
+            pivot = next((r for r in range(col + 1, n) if m[r][col]), None)
+            if pivot is None:
+                return 0
             m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
+            sign = -sign
+        top = m[col]
+        p = top[col]
         for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
-    return int(det)
+            row, factor = m[r], m[r][col]
+            m[r] = [0] * (col + 1) + [
+                (p * x - factor * y) // previous for x, y in zip(row[col + 1 :], top[col + 1 :])
+            ]
+        previous = p
+    return sign * m[-1][-1] if n else 1
 
 
 def is_unimodular(seq: ExceptionalSequence) -> bool:
     return determinant(seq.vectors) in (1, -1)
 
 
-def _with_vectors(seq: ExceptionalSequence, vectors: list[Vector]) -> ExceptionalSequence:
-    return replace(seq, vectors=tuple(vectors))
+class _Working:
+    """Mutable copy of a sequence: its vectors, pairing matrix and blocks.
+
+    ``mutate_left``, ``mutate_right`` and ``move_block`` given a frozen
+    sequence thaw it into one of these, work on it and freeze the result;
+    given a working copy, they update it in place and return it.  So a
+    script runs all of its moves on one copy and freezes once.
+    """
+
+    def __init__(self, seq: ExceptionalSequence) -> None:
+        self.form, self.blocks = seq.form, seq.blocks
+        self.vectors = [list(v) for v in seq.vectors]
+        self.gram = [list(r) for r in seq.gram]
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def block_bounds(self) -> list[tuple[int, int]]:
+        return _block_bounds(self.blocks)
+
+    def freeze(self) -> ExceptionalSequence:
+        return ExceptionalSequence(
+            self.form, tuple(map(tuple, self.vectors)), self.blocks, tuple(map(tuple, self.gram))
+        )
+
+
+def _thaw(seq) -> _Working:
+    return seq if isinstance(seq, _Working) else _Working(seq)
+
+
+def _result(seq, work: _Working):
+    """The caller's own working copy, or a frozen copy of a new one."""
+    return work if work is seq else work.freeze()
+
+
+def _braid(work: _Working, p: int, target: int, c: int) -> None:
+    """Swap basis elements p and p+1, then subtract c times the other one
+    from the one now at ``target``.  G follows by congruence: each step
+    acts on rows p, p+1, then on columns p, p+1."""
+    q = p + 1
+    source = p + q - target
+    vectors, gram = work.vectors, work.gram
+    for rows in (vectors, gram):
+        rows[p], rows[q] = rows[q], rows[p]
+    for row in gram:
+        row[p], row[q] = row[q], row[p]
+    if c:
+        for rows in (vectors, gram):
+            rows[target] = [x - c * y for x, y in zip(rows[target], rows[source])]
+        for row in gram:
+            row[target] -= c * row[source]
+
+
+def _elementary(seq, p: int, target: int):
+    """One braid move on positions (p, p+1)."""
+    work = _thaw(seq)
+    _braid(work, p, target, pairing(work, p, p + 1))
+    return _result(seq, work)
 
 
 def mutate_left(seq: ExceptionalSequence, i: int) -> ExceptionalSequence:
@@ -140,12 +249,7 @@ def mutate_left(seq: ExceptionalSequence, i: int) -> ExceptionalSequence:
     n = len(seq)
     if not (1 <= i < n):
         raise IndexError(f"left mutation needs 1 <= i < {n}, got {i}")
-    c = pairing(seq, i - 1, i)
-    a, b = seq.vectors[i - 1], seq.vectors[i]
-    mutated = tuple(x - c * y for x, y in zip(b, a))
-    vectors = list(seq.vectors)
-    vectors[i - 1], vectors[i] = mutated, a
-    return _with_vectors(seq, vectors)
+    return _elementary(seq, i - 1, i - 1)
 
 
 def mutate_right(seq: ExceptionalSequence, i: int) -> ExceptionalSequence:
@@ -157,12 +261,7 @@ def mutate_right(seq: ExceptionalSequence, i: int) -> ExceptionalSequence:
     n = len(seq)
     if not (0 <= i < n - 1):
         raise IndexError(f"right mutation needs 0 <= i < {n - 1}, got {i}")
-    c = pairing(seq, i, i + 1)
-    a, b = seq.vectors[i], seq.vectors[i + 1]
-    mutated = tuple(x - c * y for x, y in zip(a, b))
-    vectors = list(seq.vectors)
-    vectors[i], vectors[i + 1] = b, mutated
-    return _with_vectors(seq, vectors)
+    return _elementary(seq, i, i + 1)
 
 
 @dataclass(frozen=True)
@@ -176,10 +275,9 @@ def blocks_orthogonal(seq: ExceptionalSequence, left: int, right: int) -> bool:
     """Whether two blocks pair to zero in both directions."""
     bounds = seq.block_bounds()
     (ls, le), (rs, re) = bounds[left], bounds[right]
-    return all(
-        pairing(seq, i, j) == 0 and pairing(seq, j, i) == 0
-        for i in range(ls, le)
-        for j in range(rs, re)
+    g = seq.gram
+    return not any(any(g[i][rs:re]) for i in range(ls, le)) and not any(
+        any(g[j][ls:le]) for j in range(rs, re)
     )
 
 
@@ -203,26 +301,28 @@ def move_block(seq: ExceptionalSequence, block: int, direction: str):
         other = block + 1
     record = MoveRecord(block, direction, blocks_orthogonal(seq, min(block, other), max(block, other)))
 
-    bounds = seq.block_bounds()
-    size = seq.blocks[block]
-    size_other = seq.blocks[other]
+    work = _thaw(seq)
+    bounds = work.block_bounds()
+    size = work.blocks[block]
+    size_other = work.blocks[other]
     if direction == "left":
         prev_start = bounds[other][0]
         for j in range(size):
             pos = prev_start + size_other + j
             for _ in range(size_other):
-                seq = mutate_left(seq, pos)
+                mutate_left(work, pos)
                 pos -= 1
     else:
         start = bounds[block][0]
         for j in range(size):
             pos = start + size - 1 - j  # rightmost unmoved element
             for _ in range(size_other):
-                seq = mutate_right(seq, pos)
+                mutate_right(work, pos)
                 pos += 1
-    blocks = list(seq.blocks)
+    blocks = list(work.blocks)
     blocks[other], blocks[block] = blocks[block], blocks[other]
-    return replace(seq, blocks=tuple(blocks)), record
+    work.blocks = tuple(blocks)
+    return _result(seq, work), record
 
 
 def apply_script(seq: ExceptionalSequence, moves):
@@ -232,15 +332,15 @@ def apply_script(seq: ExceptionalSequence, moves):
     the two blocks were fully orthogonal at the time of the move (in
     which case the move is a pure transposition of classes).
     """
+    work = _Working(seq)
     records = []
     for move in moves:
         if isinstance(move, dict):
             block, direction = move["block"], move["direction"]
         else:
             block, direction = move
-        seq, record = move_block(seq, block, direction)
-        records.append(record)
-    return seq, records
+        records.append(move_block(work, block, direction)[1])
+    return work.freeze(), records
 
 
 def parse_script(text: str) -> list[dict]:
@@ -250,4 +350,8 @@ def parse_script(text: str) -> list[dict]:
     for move in doc:
         if not isinstance(move, dict) or "block" not in move or "direction" not in move:
             raise ValueError(f"malformed move {move!r}")
+        if not _is_int(move["block"]):
+            raise ValueError(f"move block must be an integer, got {move['block']!r}")
+        if move["direction"] not in ("left", "right"):
+            raise ValueError(f"move direction must be 'left' or 'right', got {move['direction']!r}")
     return doc

@@ -187,7 +187,14 @@ def msodc_plan(report: SodReport, gram: list[list[int]] | None = None) -> Mutati
     """
     target = grouped_block_order(report)
     order = list(range(len(report.components)))
-    seq = None
+    steps: list[int] = []  # the moves depend on the block order alone
+    for t in range(len(target)):
+        p = order.index(target[t])
+        while p > t:
+            steps.append(p)
+            order.insert(p - 1, order.pop(p))
+            p -= 1
+    flags: list[bool | None] = [None] * len(steps)
     if gram is not None:
         sizes = tuple(c.rank for c in report.components)
         if len(gram) != sum(sizes):
@@ -195,15 +202,7 @@ def msodc_plan(report: SodReport, gram: list[list[int]] | None = None) -> Mutati
                 f"Gram has {len(gram)} rows but the report's blocks need {sum(sizes)}"
             )
         seq = mutations.identity_sequence(tuple(tuple(r) for r in gram), sizes)
-    moves: list[Move] = []
-    for t in range(len(target)):
-        p = order.index(target[t])
-        while p > t:
-            orthogonal: bool | None = None
-            if seq is not None:
-                seq, record = mutations.move_block(seq, p, "left")
-                orthogonal = record.orthogonal
-            moves.append(Move(block=p, direction="left", orthogonal=orthogonal))
-            order.insert(p - 1, order.pop(p))
-            p -= 1
-    return MutationPlan(moves=tuple(moves), block_order=tuple(order))
+        _, records = mutations.apply_script(seq, [(p, "left") for p in steps])
+        flags = [r.orthogonal for r in records]
+    moves = tuple(Move(block=p, direction="left", orthogonal=f) for p, f in zip(steps, flags))
+    return MutationPlan(moves=moves, block_order=tuple(order))

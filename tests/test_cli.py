@@ -170,3 +170,55 @@ def test_analyze_table(capsys):
     assert code == 0
     assert "P2[0,1,2]" in out
     assert "rank" in out
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_mutate_rejects_non_integer_input(tmp_path, capsys):
+    good = identity_sequence(((1, 0), (0, 1))).to_dict()
+    script = [{"block": 1, "direction": "left"}]
+    cases = [
+        ({**good, "form": [[1, "0"], [0, 1]]}, script),
+        ({**good, "vectors": [[1, 0], [0, True]]}, script),
+        ({**good, "blocks": [1, 1.0]}, script),
+        (good, [{"block": "0", "direction": "left"}]),
+        (good, [{"block": False, "direction": "right"}]),
+        (good, [{"block": 1, "direction": "down"}]),
+    ]
+    for i, (seq_doc, script_doc) in enumerate(cases):
+        seq_path, script_path = tmp_path / f"seq{i}.json", tmp_path / f"script{i}.json"
+        seq_path.write_text(json.dumps(seq_doc))
+        script_path.write_text(json.dumps(script_doc))
+        code, err = run_err(capsys, "mutate", str(seq_path), "--script", str(script_path))
+        assert code == 2, (seq_doc, script_doc)
+        assert err.startswith("error: bad mutate input")
+
+
+def test_spec_booleans_rejected(tmp_path, capsys):
+    for i, doc in enumerate(
+        [
+            {**P2_DOC, "space": {"kind": "projective", "dim": True}},
+            {**P2_DOC, "group_rank": True},
+            {**P2_DOC, "action": [[True, 0, 0], [0, 1, 0]]},
+        ]
+    ):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_err(capsys, "analyze", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+
+def test_verify_presets_need_their_sizes(capsys):
+    for argv, message in [
+        (["--preset", "etale"], "needs --n and --k"),
+        (["--preset", "etale", "--n", "3"], "needs --n and --k"),
+        (["--preset", "quadric"], "needs --q-dim"),
+        (["--check", "quadric"], "needs --q-dim"),
+    ]:
+        code, err = run_err(capsys, "verify", *argv)
+        assert code == 2
+        assert message in err

@@ -337,3 +337,52 @@ def test_gram_report_block_sizes_match_ranks():
     result = gram_report(spec, report)
     assert result.block_sizes == tuple(c.rank for c in report.components)
     assert len(result.matrix) == report.total_rank
+
+
+def pairwise_gram(spec, objects):
+    """Reference: one ``euler_pairing`` per ordered pair."""
+    return [[euler_pairing(spec, e, f) for f in objects] for e in objects]
+
+
+def random_classified_projective(rng, n):
+    """Random effective projective spec with n = k whose canonical
+    generators exist (fully classified pieces)."""
+    while True:
+        spec = make_spec("projective", n, [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(n)])
+        try:
+            return spec, canonical_generators(spec, assemble(spec))[0]
+        except EulerError:
+            continue
+
+
+def test_gram_matches_pairwise_on_presets():
+    for spec in [p2_example(), pn_full(2), pn_full(3), pn_full(4)]:
+        objects, _ = canonical_generators(spec, assemble(spec))
+        assert gram(spec, objects) == pairwise_gram(spec, objects)
+
+
+def test_gram_matches_pairwise_on_random_classified_specs():
+    rng = random.Random(53)
+    for n in (1, 2, 2, 3, 3, 3):
+        spec, objects = random_classified_projective(rng, n)
+        assert gram(spec, objects) == pairwise_gram(spec, objects)
+
+
+def test_gram_matches_pairwise_on_random_objects():
+    # arbitrary supports, twists and characters, including non-triangular
+    # Grams and the ambient space of a quadric
+    rng = random.Random(59)
+    from mu2sod.presets import quadric
+
+    specs = [p2_example(), pn_full(3), make_spec("projective", 3, [[1, 1, 0, 0], [0, 1, 1, 0]]), quadric(2)]
+    for spec in specs:
+        c = spec.num_coords
+        objects = [
+            KObject(
+                tuple(rng.sample(range(c), rng.randint(1, c))),
+                rng.randint(-3, 4),
+                bits_from_value(rng.randrange(1 << spec.rank), spec.rank),
+            )
+            for _ in range(12)
+        ]
+        assert gram(spec, objects) == pairwise_gram(spec, objects)

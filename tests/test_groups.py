@@ -100,6 +100,21 @@ def test_parse_rejects_non_bits():
         parse_spec(json.dumps({"space": {"kind": "projective", "dim": -1}, "group_rank": 0, "action": []}))
 
 
+def test_parse_rejects_booleans():
+    # bool is an int subclass in Python; JSON true/false is not a number here
+    base = {"space": {"kind": "projective", "dim": 1}, "group_rank": 1, "action": [[1, 0]]}
+    docs = [
+        {**base, "space": {"kind": "projective", "dim": True}},
+        {**base, "group_rank": True},
+        {**base, "action": [[True, 0]]},
+        {**base, "action": [[1, False]]},
+    ]
+    for doc in docs:
+        with pytest.raises(SpecError):
+            parse_spec(json.dumps(doc))
+    assert parse_spec(json.dumps(base)).dim == 1
+
+
 def test_affine_rank_exceeding_coordinates_rejected():
     with pytest.raises(SpecError):
         make_spec("affine", 2, [[1, 0], [0, 1], [1, 1]])

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -237,3 +238,137 @@ def test_msodc_plan_replay_matches_records():
     )
     assert [r.orthogonal for r in records] == [m.orthogonal for m in plan.moves]
     assert is_semiorthogonal(final)
+
+
+def fraction_determinant(vectors):
+    """Oracle: Gaussian elimination over the rationals."""
+    n = len(vectors)
+    m = [[Fraction(x) for x in row] for row in vectors]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    assert det.denominator == 1
+    return int(det)
+
+
+def test_bareiss_determinant_matches_fraction_oracle():
+    rng = random.Random(61)
+    assert determinant(()) == fraction_determinant(()) == 1
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 1 and n > 1:
+            m[rng.randrange(n)] = [0] * n  # singular: a zero row
+        if trial % 3 == 2 and n > 1:
+            for row in m[: rng.randint(1, n - 1)]:
+                row[0] = 0  # zero leading pivots force row swaps
+            if trial % 6 == 2:
+                m[-1] = [a + b for a, b in zip(m[0], m[1 % n])]  # singular: dependent row
+        assert determinant(m) == fraction_determinant(m), m
+
+
+def random_block_script(rng, blocks, moves):
+    script = []
+    for _ in range(moves):
+        nblocks = len(blocks)
+        if rng.random() < 0.5:
+            script.append({"block": rng.randint(1, nblocks - 1), "direction": "left"})
+        else:
+            script.append({"block": rng.randint(0, nblocks - 2), "direction": "right"})
+    return script
+
+
+def random_partition(rng, n):
+    blocks, left = [], n
+    while left:
+        size = rng.randint(1, min(3, left))
+        blocks.append(size)
+        left -= size
+    return tuple(blocks)
+
+
+def test_carried_gram_matches_recomputed_after_every_move():
+    rng = random.Random(67)
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        blocks = random_partition(rng, n)
+        if len(blocks) < 2:
+            continue
+        start = seq = identity_sequence(random_unipotent_form(rng, n), blocks)
+        script = random_block_script(rng, blocks, rng.randint(1, 12))
+        records = []
+        for move in script:
+            seq, record = move_block(seq, move["block"], move["direction"])
+            records.append(record)
+            assert [list(r) for r in seq.gram] == gram_matrix(seq)
+            assert is_semiorthogonal(seq)
+        assert is_unimodular(seq)
+        # a whole script on one working copy matches the move-by-move replay
+        final, script_records = apply_script(start, script)
+        assert final == seq and final.gram == seq.gram
+        assert script_records == records
+
+
+def test_carried_gram_after_elementary_mutations_and_reload():
+    rng = random.Random(71)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        seq = identity_sequence(random_unipotent_form(rng, n))
+        for _ in range(rng.randint(1, 15)):
+            if rng.random() < 0.5:
+                seq = mutate_left(seq, rng.randint(1, n - 1))
+            else:
+                seq = mutate_right(seq, rng.randint(0, n - 2))
+            assert [list(r) for r in seq.gram] == gram_matrix(seq)
+        # a sequence rebuilt from its JSON recomputes the same matrix
+        reloaded = sequence_from_dict(json.loads(json.dumps(seq.to_dict())))
+        assert reloaded.gram == seq.gram
+
+
+def test_is_semiorthogonal_ignores_carried_gram():
+    seq = identity_sequence(B_LOWER)
+    forged = ExceptionalSequence(seq.form, seq.vectors, seq.blocks, B_UPPER)
+    assert pairing(forged, 1, 0) == 0  # the lookup trusts the carried matrix
+    assert not is_semiorthogonal(forged)  # the oracle recomputes it
+
+
+def test_sequence_from_dict_rejects_non_integers():
+    good = identity_sequence(B_UPPER).to_dict()
+    bad_docs = [
+        [],
+        {"form": good["form"], "vectors": good["vectors"]},
+        {**good, "form": [[1, "2"], [0, 1]]},
+        {**good, "form": [[1, 2.0], [0, 1]]},
+        {**good, "form": [[True, 2], [0, 1]]},
+        {**good, "form": "nope"},
+        {**good, "vectors": [[1, 0], None]},
+        {**good, "blocks": [1, True]},
+        {**good, "blocks": "11"},
+    ]
+    for doc in bad_docs:
+        with pytest.raises(ValueError):
+            sequence_from_dict(doc)
+    assert sequence_from_dict(good) == identity_sequence(B_UPPER)
+
+
+def test_parse_script_rejects_bad_moves():
+    for move in [
+        {"block": "0", "direction": "left"},
+        {"block": True, "direction": "left"},
+        {"block": 1.0, "direction": "left"},
+        {"block": 1, "direction": "up"},
+        {"block": 1, "direction": ["left"]},
+    ]:
+        with pytest.raises(ValueError):
+            parse_script(json.dumps([move]))
