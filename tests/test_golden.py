@@ -1,5 +1,7 @@
 """Golden-output gate: the ``--json`` bytes of ``gram``, ``sod`` and
-``mutate`` on the preset ladder are pinned by SHA-256.
+``mutate`` on the projective preset ladder, of ``analyze`` and
+``verify`` on projective, quadric and etale presets, and of ``sod`` on
+the quadric presets are pinned by SHA-256.
 
 The mutate input is the identity sequence on the preset's Gram form,
 blocked by component rank; its script is the ``sod`` regrouping plan's
@@ -73,3 +75,48 @@ def test_golden_json_digests(capsys, tmp_path, name):
     assert json.loads(outputs[f"mutate {name}"])["semiorthogonal"] is True
     for key, text in outputs.items():
         assert _digest(text) == GOLDEN[key], key
+
+
+SPEC_PRESETS = {
+    **PRESETS,
+    "quadric-1": ["--preset", "quadric", "--q-dim", "1"],
+    "quadric-2": ["--preset", "quadric", "--q-dim", "2"],
+    "quadric-3": ["--preset", "quadric", "--q-dim", "3"],
+    "quadric-4": ["--preset", "quadric", "--q-dim", "4"],
+    "etale-4-3": ["--preset", "etale", "--n", "4", "--k", "3"],
+}
+
+SPEC_CASES = [("analyze", name) for name in SPEC_PRESETS]
+SPEC_CASES += [("verify", name) for name in SPEC_PRESETS]
+SPEC_CASES += [("sod", name) for name in SPEC_PRESETS if name.startswith("quadric")]
+
+SPEC_GOLDEN = {
+    "analyze p2-example": "a8de5473a5cf3ffaf8e63e5804756dc84de0df77f23c7da73a4d550c6318c427",
+    "analyze pn-full-2": "a8de5473a5cf3ffaf8e63e5804756dc84de0df77f23c7da73a4d550c6318c427",
+    "analyze pn-full-3": "22b749bddd287f074465c1f7bc4f2d5ad6ed7b1d3bd1f96320ee1e1e42247129",
+    "analyze pn-full-4": "a8c5f22dd30681544c967ec10fbf2704592620ce602b38df70c8831019ba0fcc",
+    "analyze quadric-1": "f8d65558613c956e1beda6f055dca5aaa16b7d8ca9b4fc07b0bc7ebf3598f608",
+    "analyze quadric-2": "adad6dd04d2af83ededd3ce1c2208be2072bfa115a060dee40c19c12a8507c52",
+    "analyze quadric-3": "3a7940f01a4561d07d2091e6ba91af2785e16c2c00615199ffa5e6f323ac2f4c",
+    "analyze quadric-4": "1a703fe4a70f063ee20d30002e0310e61d323701e118ef59fe2887a5c1cbef2e",
+    "analyze etale-4-3": "e3d58593d29d5ff3521cc19f19d7dd8d8e649b6355b2b847f24a958dce90a522",
+    "verify p2-example": "25f3624d1ed9232cce7a877352fbb9917db1b90ff209fedb60e42d5dab521333",
+    "verify pn-full-2": "25f3624d1ed9232cce7a877352fbb9917db1b90ff209fedb60e42d5dab521333",
+    "verify pn-full-3": "8c17559be1bd4a18ebe7ce6a9c8581122fde38aa92a8cd0e1767d0853dde10aa",
+    "verify pn-full-4": "8b83e018a9192820d2868ff401f1a21ec8e5bbebc25ef5225bf7188c2a8c6674",
+    "verify quadric-1": "278abe1fcff5eacbd64224df454a1e27b28be2bef59e1b134785e5dcda26846c",
+    "verify quadric-2": "aa1eeec7822d2b71e5cb9ff04888e6985fbc88a929a16d122639ceb1582ff24e",
+    "verify quadric-3": "076c064c43b3938a82cc3fca5ac359785021e71dbb9c8c20a20e461d61d42cf0",
+    "verify quadric-4": "eef523525027b0c77340eccfe42ee0bff727c933d92b17afed0ae5cf734bfa0f",
+    "verify etale-4-3": "20efdb7ab7d687eea994723777a54ff885731da03a5718f249b9fb7a0e91ae36",
+    "sod quadric-1": "419dfcf8178c4d92801013779f61c7175f279aaf1dac9f107b77ffe334104c3a",
+    "sod quadric-2": "37b1623eae3555fcc840678a4117c95ea5f788fa0ef861fbeab8e1278b66b23c",
+    "sod quadric-3": "93c2fe533d1b7dae538f568ae9efc473c712d6107bb294a75eb8f517e3d6359b",
+    "sod quadric-4": "91e0c38171e56fbff15abceff3b26169af01bb458b14861afd651ef117e21f0d",
+}
+
+
+@pytest.mark.parametrize("command,name", SPEC_CASES)
+def test_golden_spec_digests(capsys, command, name):
+    text = _run(capsys, [command, *SPEC_PRESETS[name], "--json"])
+    assert _digest(text) == SPEC_GOLDEN[f"{command} {name}"]
