@@ -1,73 +1,30 @@
 """Exact calculator for semiorthogonal decompositions of diagonal
 mu_2^k quotients of affine spaces, projective spaces, and Fermat
-quadrics, with independent rank oracles and K-level mutation replay."""
+quadrics, with independent rank oracles and K-level mutation replay.
 
-from .groups import (
-    ActionSpec,
-    SpecError,
-    is_effective,
-    make_spec,
-    pairing,
-    parse_spec,
-    projective_kernel,
-    span,
-)
-from .loci import LocusPiece, Sector, chi_c, chi_c_total, fixed_pieces, fixed_pieces_subgroup, sectors
-from .inertia import CoarseType, InertiaComponent, coarse_chi, coarse_type, components
-from .sod import MutationPlan, SodReport, assemble, msodc_plan, report_from_dict, report_to_dict
-from .euler import KObject, canonical_generators, cohomology, euler_pairing, gram, gram_report, koszul
-from .mutations import (
-    ExceptionalSequence,
-    apply_script,
-    identity_sequence,
-    is_semiorthogonal,
-    is_unimodular,
-    mutate_left,
-    mutate_right,
-)
-from . import presets, verify
+The top level re-exports one entry point per pipeline stage; the
+building blocks live in the submodules."""
+
+from .groups import ActionSpec, SpecError, make_spec, parse_spec
+from .inertia import components
+from .sod import assemble, msodc_plan, report_to_dict
+from .euler import gram_report
+from .mutations import apply_script, identity_sequence
+from . import mutations, presets, verify
 
 __all__ = [
     "ActionSpec",
-    "CoarseType",
-    "ExceptionalSequence",
-    "InertiaComponent",
-    "KObject",
-    "LocusPiece",
-    "MutationPlan",
-    "Sector",
-    "SodReport",
     "SpecError",
     "apply_script",
     "assemble",
-    "canonical_generators",
-    "chi_c",
-    "chi_c_total",
-    "coarse_chi",
-    "coarse_type",
-    "cohomology",
     "components",
-    "euler_pairing",
-    "fixed_pieces",
-    "fixed_pieces_subgroup",
-    "gram",
     "gram_report",
     "identity_sequence",
-    "is_effective",
-    "is_semiorthogonal",
-    "is_unimodular",
-    "koszul",
     "make_spec",
     "msodc_plan",
-    "mutate_left",
-    "mutate_right",
-    "pairing",
+    "mutations",
     "parse_spec",
     "presets",
-    "projective_kernel",
-    "report_from_dict",
     "report_to_dict",
-    "sectors",
-    "span",
     "verify",
 ]

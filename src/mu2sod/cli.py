@@ -19,7 +19,7 @@ import sys
 
 from . import mutations, verify
 from .euler import EulerError, gram_report
-from .groups import ActionSpec, SpecError, parse_spec
+from .groups import ActionSpec, SpecError, bit_list, parse_spec
 from .presets import preset
 from .sod import assemble, msodc_plan, piece_label, report_to_dict
 
@@ -57,8 +57,8 @@ def _load_spec(args) -> ActionSpec:
     raise SpecError("no input: give a spec file or --preset")
 
 
-def _element_str(bits) -> str:
-    return "".join(str(b) for b in bits) if bits else "()"
+def _element_str(g: int, k: int) -> str:
+    return "".join(str(b) for b in bit_list(g, k)) if k else "()"
 
 
 def cmd_analyze(args) -> int:
@@ -71,7 +71,7 @@ def cmd_analyze(args) -> int:
     lines = [f"{'pos':>3}  {'element':>8}  {'piece':<14} {'dim':>3}  {'coarse':<16} {'rank':>4}"]
     for pos, comp in enumerate(report.components):
         lines.append(
-            f"{pos:>3}  {_element_str(comp.element):>8}  {piece_label(comp):<14}"
+            f"{pos:>3}  {_element_str(comp.element, spec.rank):>8}  {piece_label(comp):<14}"
             f" {comp.coarse_dim:>3}  {comp.coarse_type.label():<16} {comp.rank:>4}"
         )
     if not report.effective:
@@ -129,7 +129,7 @@ def cmd_gram(args) -> int:
         return OK
     lines = [f"blocks: {list(result.block_sizes)}"]
     if result.normalized:
-        lines.append(f"character twists: {[list(t) for t in result.twists]}")
+        lines.append(f"character twists: {[bit_list(t, spec.rank) for t in result.twists]}")
     width = max(len(str(x)) for row in result.matrix for x in row)
     for row in result.matrix:
         lines.append("  " + " ".join(f"{x:>{width}}" for x in row))
@@ -215,7 +215,7 @@ def _verify_checks(args) -> list[verify.CheckResult]:
 def cmd_verify(args) -> int:
     try:
         results = _verify_checks(args)
-    except (SpecError, ValueError, TypeError) as exc:
+    except (SpecError, ValueError) as exc:
         return _fail(str(exc))
     if args.json:
         doc = [

@@ -19,8 +19,8 @@ the G-invariant Euler pairing:
   each line-bundle term to the second argument's support, and read off
   the multiplicity of the trivial character.
 
-Characters are self-inverse, so all character bookkeeping is XOR on the
-integer encodings.
+Characters are self-inverse, so all character bookkeeping is XOR on
+their int encodings.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
 
-from .groups import ActionSpec, Bits, bit_value, bits_from_value, identity, xor
+from .groups import ActionSpec, bit_list
 from .inertia import twist_step
 from .sod import SodReport
 
@@ -48,7 +48,7 @@ class KObject:
 
     support: tuple[int, ...]
     twist: int
-    char: Bits
+    char: int
 
     def __post_init__(self) -> None:
         if not self.support:
@@ -57,8 +57,8 @@ class KObject:
         if len(self.support) == 1:
             object.__setattr__(self, "twist", 0)
 
-    def twisted(self, psi: Bits) -> KObject:
-        return replace(self, char=xor(self.char, psi))
+    def twisted(self, psi: int) -> KObject:
+        return replace(self, char=self.char ^ psi)
 
 
 def _check_ambient(spec: ActionSpec) -> None:
@@ -66,8 +66,8 @@ def _check_ambient(spec: ActionSpec) -> None:
         raise EulerError("Euler pairings need a proper ambient space")
 
 
-def _char_values(spec: ActionSpec, support: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(bit_value(spec.characters[i]) for i in support)
+def _char_values(spec: ActionSpec, support) -> tuple[int, ...]:
+    return tuple(spec.characters[i] for i in support)
 
 
 @lru_cache(maxsize=None)
@@ -115,11 +115,10 @@ def koszul(spec: ActionSpec, obj: KObject) -> list[tuple[int, int, int]]:
     """
     _check_ambient(spec)
     complement = [i for i in range(spec.num_coords) if i not in set(obj.support)]
-    comp_chars = _char_values(spec, tuple(complement))
-    base = bit_value(obj.char)
+    comp_chars = _char_values(spec, complement)
     terms = []
     for mask in range(1 << len(complement)):
-        value = base
+        value = obj.char
         size = 0
         for i, cv in enumerate(comp_chars):
             if (mask >> i) & 1:
@@ -133,11 +132,10 @@ def euler_pairing(spec: ActionSpec, first: KObject, second: KObject) -> int:
     """G-invariant Euler pairing chi^G(first, second)."""
     _check_ambient(spec)
     target_chars = _char_values(spec, second.support)
-    second_char = bit_value(second.char)
     total = 0
     for twist, char_value, sign in koszul(spec, first):
         vec = _cohomology(target_chars, spec.rank, second.twist - twist)
-        total += sign * vec[second_char ^ char_value]
+        total += sign * vec[second.char ^ char_value]
     return total
 
 
@@ -146,7 +144,7 @@ def gram(spec: ActionSpec, objects: list[KObject]) -> list[list[int]]:
     object's Koszul resolution once rather than once per pair."""
     _check_ambient(spec)
     rank = spec.rank
-    targets = [(_char_values(spec, f.support), f.twist, bit_value(f.char)) for f in objects]
+    targets = [(_char_values(spec, f.support), f.twist, f.char) for f in objects]
     rows = []
     for e in objects:
         terms = koszul(spec, e)
@@ -181,7 +179,6 @@ def canonical_generators(
     if spec.kind == "fermat_quadric":
         raise EulerError("canonical generators on a quadric are not supported")
     _check_ambient(spec)
-    trivial = identity(spec.rank)
     objects: list[KObject] = []
     sizes: list[int] = []
     for comp in report.components:
@@ -189,11 +186,11 @@ def canonical_generators(
         if ctype.kind == "projective":
             step = twist_step(spec, comp.piece.support)
             block = [
-                KObject(comp.piece.support, step * t, trivial)
+                KObject(comp.piece.support, step * t, 0)
                 for t in range(ctype.dim + 1)
             ]
         elif ctype.kind == "point":
-            block = [KObject(comp.piece.support[:1], 0, trivial)]
+            block = [KObject(comp.piece.support[:1], 0, 0)]
         else:
             raise EulerError(
                 f"no canonical generators for coarse type {ctype.label()}"
@@ -205,7 +202,7 @@ def canonical_generators(
 
 def character_normalization(
     spec: ActionSpec, objects: list[KObject], sizes: tuple[int, ...]
-) -> list[Bits] | None:
+) -> list[int] | None:
     """Greedy search for per-block character twists making the Gram
     unipotent upper triangular.
 
@@ -216,14 +213,13 @@ def character_normalization(
     None when some block admits no such character.
     """
     placed: list[KObject] = []
-    chosen: list[Bits] = []
+    chosen: list[int] = []
     start = 0
     for size in sizes:
         block = objects[start : start + size]
         start += size
         found = None
-        for value in range(1 << spec.rank):
-            psi = bits_from_value(value, spec.rank)
+        for psi in spec.group:
             twisted = [obj.twisted(psi) for obj in block]
             if all(
                 euler_pairing(spec, t, earlier) == 0
@@ -244,19 +240,20 @@ class GramResult:
     objects: tuple[KObject, ...]
     block_sizes: tuple[int, ...]
     matrix: tuple[tuple[int, ...], ...]
-    twists: tuple[Bits, ...]  # character applied to each block
+    twists: tuple[int, ...]  # character applied to each block
     normalized: bool  # True if a nontrivial normalization was needed
     triangular: bool
+    rank: int  # group rank, the length of the serialized characters
 
     def to_dict(self) -> dict:
         return {
             "blocks": list(self.block_sizes),
             "matrix": [list(r) for r in self.matrix],
             "objects": [
-                {"support": list(o.support), "twist": o.twist, "char": list(o.char)}
+                {"support": list(o.support), "twist": o.twist, "char": bit_list(o.char, self.rank)}
                 for o in self.objects
             ],
-            "twists": [list(t) for t in self.twists],
+            "twists": [bit_list(t, self.rank) for t in self.twists],
             "normalized": self.normalized,
             "triangular": self.triangular,
         }
@@ -267,15 +264,15 @@ def gram_report(spec: ActionSpec, report: SodReport) -> GramResult:
     if the default trivial choice is not triangular."""
     objects, sizes = canonical_generators(spec, report)
     matrix = gram(spec, objects)
-    trivial = identity(spec.rank)
     if is_unipotent_upper(matrix):
         return GramResult(
             tuple(objects),
             sizes,
             tuple(tuple(r) for r in matrix),
-            tuple(trivial for _ in sizes),
+            (0,) * len(sizes),
             normalized=False,
             triangular=True,
+            rank=spec.rank,
         )
     twists = character_normalization(spec, objects, sizes)
     if twists is None:
@@ -283,9 +280,10 @@ def gram_report(spec: ActionSpec, report: SodReport) -> GramResult:
             tuple(objects),
             sizes,
             tuple(tuple(r) for r in matrix),
-            tuple(trivial for _ in sizes),
+            (0,) * len(sizes),
             normalized=False,
             triangular=False,
+            rank=spec.rank,
         )
     twisted_objects: list[KObject] = []
     start = 0
@@ -300,4 +298,5 @@ def gram_report(spec: ActionSpec, report: SodReport) -> GramResult:
         tuple(twists),
         normalized=True,
         triangular=is_unipotent_upper(matrix),
+        rank=spec.rank,
     )

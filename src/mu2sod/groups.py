@@ -10,9 +10,12 @@ Everything downstream runs on three small facts:
   says which coordinates generator i negates, so column j is the
   character of coordinate j.
 
-Bit vectors are stored as tuples of 0/1 ints.  The canonical enumeration
-order is by integer value with bit i weighted 2^i, i.e. the first
-generator is the least significant bit.
+Elements and characters are plain ints with bit i standing for generator
+i: the dot product is ``(chi & g).bit_count() & 1``, the group law is
+``^``, and the group enumerates as ``range(1 << k)``.  Little-endian 0/1
+lists appear only at the JSON boundary: the ``action`` rows of a spec
+document and the element and character fields of the outputs
+(``bit_list``).
 """
 
 from __future__ import annotations
@@ -21,73 +24,30 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-Bits = tuple[int, ...]
-
 SPACE_KINDS = ("affine", "projective", "fermat_quadric")
+
+# Every layer loops over the 2^k group elements (the Burnside oracle over
+# 4^k pairs), so larger ranks are refused as input errors.
+MAX_GROUP_RANK = 12
 
 
 class SpecError(ValueError):
     """Raised for malformed or inconsistent action-spec documents."""
 
 
-def bit_value(bits: Bits) -> int:
-    """Integer value of a bit vector, bit i weighted 2^i."""
-    return sum(b << i for i, b in enumerate(bits))
+def bit_list(value: int, length: int) -> list[int]:
+    """Little-endian 0/1 list of ``value``: entry i is bit i."""
+    return [(value >> i) & 1 for i in range(length)]
 
 
-def bits_from_value(value: int, length: int) -> Bits:
-    return tuple((value >> i) & 1 for i in range(length))
-
-
-def identity(rank: int) -> Bits:
-    return (0,) * rank
-
-
-def elements(rank: int) -> list[Bits]:
-    """All 2^rank elements in ascending bit-value order."""
-    return [bits_from_value(v, rank) for v in range(1 << rank)]
-
-
-def xor(a: Bits, b: Bits) -> Bits:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
-def weight(bits: Bits) -> int:
-    """Number of nontrivial entries."""
-    return sum(bits)
-
-
-def dot(chi: Bits, g: Bits) -> int:
+def dot(chi: int, g: int) -> int:
     """F_2 dot product <chi, g>."""
-    if len(chi) != len(g):
-        raise ValueError(f"length mismatch: {len(chi)} vs {len(g)}")
-    return sum(x & y for x, y in zip(chi, g)) & 1
+    return (chi & g).bit_count() & 1
 
 
-def pairing(chi: Bits, g: Bits) -> int:
-    """Sign (-1)^<chi, g>, multiplicative in both arguments."""
-    return -1 if dot(chi, g) else 1
-
-
-def span(vectors: list[Bits], rank: int | None = None) -> list[Bits]:
-    """F_2-linear span, deduplicated, in ascending bit-value order.
-
-    ``rank`` is only needed to disambiguate the empty input, whose span
-    is the trivial group of that rank.
-    """
-    if not vectors:
-        if rank is None:
-            raise ValueError("span of empty input needs an explicit rank")
-        return [identity(rank)]
-    k = len(vectors[0])
-    out = {identity(k)}
-    for v in vectors:
-        if len(v) != k:
-            raise ValueError("span inputs must share a length")
-        out |= {xor(v, w) for w in out}
-    return sorted(out, key=bit_value)
+def check_group_rank(rank: int) -> None:
+    if rank > MAX_GROUP_RANK:
+        raise SpecError(f"group_rank {rank} exceeds the limit of {MAX_GROUP_RANK}")
 
 
 @dataclass(frozen=True)
@@ -98,13 +58,13 @@ class ActionSpec:
     ``dim`` is the space dimension: n for A^n and P^n, the quadric
     dimension for a Fermat quadric (the quadric sum x_i^2 = 0 lives in
     P^(dim+1), so the ambient has dim+2 coordinates).  ``rows`` is the
-    k x c action matrix.
+    k x c action matrix of 0/1 entries, as parsed.
     """
 
     kind: str
     dim: int
     rank: int
-    rows: tuple[Bits, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if self.kind not in SPACE_KINDS:
@@ -113,6 +73,7 @@ class ActionSpec:
             raise SpecError("space dimension must be nonnegative")
         if self.rank < 0 or self.rank != len(self.rows):
             raise SpecError("group_rank must equal the number of action rows")
+        check_group_rank(self.rank)
         c = self.num_coords
         for row in self.rows:
             if len(row) != c:
@@ -136,15 +97,16 @@ class ActionSpec:
         return self.dim + 2
 
     @cached_property
-    def characters(self) -> tuple[Bits, ...]:
+    def characters(self) -> tuple[int, ...]:
         """Character of each coordinate: column j of the action matrix."""
         return tuple(
-            tuple(row[j] for row in self.rows) for j in range(self.num_coords)
+            sum(row[j] << i for i, row in enumerate(self.rows))
+            for j in range(self.num_coords)
         )
 
-    @cached_property
-    def group(self) -> tuple[Bits, ...]:
-        return tuple(elements(self.rank))
+    @property
+    def group(self) -> range:
+        return range(1 << self.rank)
 
     def to_dict(self) -> dict:
         return {
@@ -154,7 +116,8 @@ class ActionSpec:
         }
 
 
-def make_spec(kind: str, dim: int, rows: list[list[int]] | tuple[Bits, ...]) -> ActionSpec:
+def make_spec(kind: str, dim: int, rows: list[list[int]] | tuple[tuple[int, ...], ...]) -> ActionSpec:
+    """Spec from a list of 0/1 action rows."""
     return ActionSpec(kind, dim, len(rows), tuple(tuple(r) for r in rows))
 
 
@@ -192,19 +155,18 @@ def parse_spec(text: str) -> ActionSpec:
     return make_spec(kind, dim, action)
 
 
-def projective_kernel(spec: ActionSpec) -> list[Bits]:
+def projective_kernel(spec: ActionSpec) -> list[int]:
     """Elements acting trivially on the space.
 
     Affine: all coordinate characters evaluate to +1.  Projective and
     quadric: all coordinate characters agree (the element acts by a
     global scalar, which is trivial in PGL).
     """
-    chars = spec.characters
     kernel = []
     for g in spec.group:
-        signs = [dot(chi, g) for chi in chars]
+        signs = [dot(chi, g) for chi in spec.characters]
         if spec.kind == "affine":
-            if all(s == 0 for s in signs):
+            if not any(signs):
                 kernel.append(g)
         elif len(set(signs)) <= 1:
             kernel.append(g)
@@ -212,4 +174,4 @@ def projective_kernel(spec: ActionSpec) -> list[Bits]:
 
 
 def is_effective(spec: ActionSpec) -> bool:
-    return projective_kernel(spec) == [identity(spec.rank)]
+    return projective_kernel(spec) == [0]

@@ -20,18 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import ActionSpec, Bits, dot
-from .loci import (
-    AFFINE,
-    EMPTY,
-    FERMAT,
-    POINT,
-    POINT_PAIR,
-    PROJ,
-    LocusPiece,
-    fixed_pieces,
-    refine_piece,
-)
+from .groups import ActionSpec, dot
+from .loci import AFFINE, EMPTY, FERMAT, POINT, POINT_PAIR, PROJ
+from .loci import LocusPiece, chi_c_total, fixed_pieces
 
 SMOOTH = "smooth"
 UNKNOWN = "unknown"
@@ -54,7 +45,7 @@ class CoarseType:
 
 @dataclass(frozen=True)
 class InertiaComponent:
-    element: Bits
+    element: int
     piece: LocusPiece
     split_index: int | None  # 1/2 for the halves of an unswapped point pair
     coarse_dim: int
@@ -63,20 +54,20 @@ class InertiaComponent:
     smooth: str
 
 
-def residual_signs(spec: ActionSpec, coords: tuple[int, ...]) -> set[Bits]:
-    """Sign patterns through which the group acts on the given coordinates."""
+def residual_signs(spec: ActionSpec, coords: tuple[int, ...]) -> set[int]:
+    """Sign patterns through which the group acts on the given coordinates,
+    bit j of a pattern being the sign on ``coords[j]``."""
     chars = [spec.characters[i] for i in coords]
-    return {tuple(dot(chi, g) for chi in chars) for g in spec.group}
+    return {
+        sum(dot(chi, g) << j for j, chi in enumerate(chars)) for g in spec.group
+    }
 
 
-def residual_signs_mod_scalar(spec: ActionSpec, coords: tuple[int, ...]) -> set[Bits]:
-    """Residual sign patterns modulo the global sign (trivial in PGL)."""
-    out = set()
-    for p in residual_signs(spec, coords):
-        if p and p[0] == 1:
-            p = tuple(1 - b for b in p)
-        out.add(p)
-    return out
+def residual_signs_mod_scalar(spec: ActionSpec, coords: tuple[int, ...]) -> set[int]:
+    """Residual sign patterns modulo the global sign (trivial in PGL),
+    normalized to a plus sign on ``coords[0]``."""
+    full = (1 << len(coords)) - 1
+    return {p ^ full if p & 1 else p for p in residual_signs(spec, coords)}
 
 
 def pair_is_swapped(spec: ActionSpec, piece: LocusPiece) -> bool:
@@ -94,7 +85,7 @@ def burnside_average(spec: ActionSpec, piece: LocusPiece) -> int:
     """(1/|G|) sum_h chi_c(piece intersect X^h), checked to be integral."""
     order = len(spec.group)
     total = sum(
-        sum(q.chi for q in refine_piece(spec, piece, h)) for h in spec.group
+        chi_c_total(fixed_pieces(spec, (h,), piece.support)) for h in spec.group
     )
     if total % order:
         raise ArithmeticError(
@@ -104,14 +95,17 @@ def burnside_average(spec: ActionSpec, piece: LocusPiece) -> int:
     return total // order
 
 
-def _is_reflection_generated(patterns: set[Bits]) -> bool:
+def _is_reflection_generated(patterns: set[int]) -> bool:
     """Whether a sign subgroup is generated by single-coordinate flips.
 
     Quotients of affine space by diagonal signs are smooth (and again
     affine space) exactly in this case.
     """
-    flipped = {i for p in patterns if sum(p) == 1 for i, b in enumerate(p) if b}
-    return all(all(i in flipped for i, b in enumerate(p) if b) for p in patterns)
+    flipped = 0
+    for p in patterns:
+        if p.bit_count() == 1:
+            flipped |= p
+    return all(p & ~flipped == 0 for p in patterns)
 
 
 def classify_piece(spec: ActionSpec, piece: LocusPiece) -> tuple[CoarseType, str]:
@@ -161,7 +155,7 @@ def twist_step(spec: ActionSpec, coords: tuple[int, ...]) -> int:
 
 
 def _make_component(
-    spec: ActionSpec, g: Bits, piece: LocusPiece, split_index: int | None
+    spec: ActionSpec, g: int, piece: LocusPiece, split_index: int | None
 ) -> InertiaComponent:
     ctype, smooth = classify_piece(spec, piece)
     if split_index is not None or piece.kind == POINT_PAIR:
@@ -188,7 +182,7 @@ def components(spec: ActionSpec) -> list[InertiaComponent]:
     except that a point pair nobody swaps contributes two components."""
     out = []
     for g in spec.group:
-        for piece in fixed_pieces(spec, g):
+        for piece in fixed_pieces(spec, (g,)):
             if piece.kind == EMPTY:
                 continue
             if piece.kind == POINT_PAIR and not pair_is_swapped(spec, piece):
@@ -197,18 +191,3 @@ def components(spec: ActionSpec) -> list[InertiaComponent]:
             else:
                 out.append(_make_component(spec, g, piece, None))
     return out
-
-
-def coarse_chi(spec: ActionSpec, comp: InertiaComponent) -> int:
-    """Rank of a component: chi_c of its coarse moduli.
-
-    Point-pair components (merged or split) are single points by
-    construction; everything else is Burnside-averaged.
-    """
-    if comp.piece.kind == POINT_PAIR:
-        return 1
-    return burnside_average(spec, comp.piece)
-
-
-def coarse_type(spec: ActionSpec, comp: InertiaComponent) -> tuple[CoarseType, str]:
-    return classify_piece(spec, comp.piece)

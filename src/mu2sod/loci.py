@@ -1,11 +1,12 @@
 """Sector decomposition and fixed loci of diagonal sign actions.
 
-A subgroup H splits the coordinates into *sectors*: maximal groups of
-coordinates whose characters restrict to the same function on H.  The
-locus fixed by all of H is assembled from the sectors:
+A few group elements split the coordinates into *sectors*: maximal
+groups of coordinates on which each element acts by one sign.  The locus
+fixed by all of the elements (equivalently, by the subgroup they
+generate) is assembled from the sectors:
 
 * affine: the fixed locus is the linear subspace spanned by the
-  coordinates in the trivially-restricted sector;
+  coordinates in the all-plus sector;
 * projective: each sector T contributes the subspace P(V_T) (a reduced
   point when |T| = 1), since all of its coordinates rescale by the same
   sign;
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import ActionSpec, Bits, bit_value, dot
+from .groups import ActionSpec, dot
 
 AFFINE = "affine"
 PROJ = "projective"
@@ -81,112 +82,38 @@ class LocusPiece:
         return 0  # empty
 
 
-def chi_c(piece: LocusPiece) -> int:
-    return piece.chi
-
-
 def chi_c_total(pieces: list[LocusPiece]) -> int:
     return sum(p.chi for p in pieces)
 
 
-@dataclass(frozen=True)
-class Sector:
-    """Coordinates sharing one restriction of their characters to a subgroup.
+def fixed_pieces(spec: ActionSpec, elements, support=None) -> list[LocusPiece]:
+    """Pieces of the locus fixed by every element of ``elements`` inside
+    the coordinate subspace on ``support`` (default: all coordinates).
 
-    ``pattern[j]`` is <chi_i, h_j> for the subgroup elements h_j in
-    ascending bit-value order.
+    The support splits into sectors by sign pattern, bit j of a
+    coordinate's pattern being <chi, elements[j]>; sectors come out in
+    ascending pattern order, so an all-plus sector comes first.  Affine:
+    the all-plus sector only.  Projective: a point or a projective space
+    per sector.  Quadric: an empty piece (kept with chi = 0, so Burnside
+    sums can run over all sectors uniformly), a point pair or a Fermat
+    quadric per sector.
     """
-
-    subgroup: tuple[Bits, ...]
-    pattern: Bits
-    coords: tuple[int, ...]
-
-
-def _canonical_subgroup(subgroup) -> tuple[Bits, ...]:
-    return tuple(sorted({tuple(h) for h in subgroup}, key=bit_value))
-
-
-def sectors(spec: ActionSpec, subgroup) -> list[Sector]:
-    """Partition the coordinates by restricted character on ``subgroup``.
-
-    Sectors come out ordered by ascending bit value of the restriction
-    pattern; the identity contributes the constant 0 bit, so the
-    trivially-restricted sector (when present) is always first.
-    """
-    sub = _canonical_subgroup(subgroup)
     chars = spec.characters
-    classes: dict[Bits, list[int]] = {}
-    for i, chi in enumerate(chars):
-        pattern = tuple(dot(chi, h) for h in sub)
-        classes.setdefault(pattern, []).append(i)
-    return [
-        Sector(sub, pattern, tuple(coords))
-        for pattern, coords in sorted(classes.items(), key=lambda kv: bit_value(kv[0]))
-    ]
-
-
-def _projective_class_piece(coords: tuple[int, ...]) -> LocusPiece:
-    return LocusPiece(POINT if len(coords) == 1 else PROJ, coords)
-
-
-def _quadric_class_piece(coords: tuple[int, ...]) -> LocusPiece:
-    n = len(coords)
-    if n <= 1:
-        return LocusPiece(EMPTY, coords)
-    if n == 2:
-        return LocusPiece(POINT_PAIR, coords)
-    return LocusPiece(FERMAT, coords)
-
-
-def fixed_pieces_subgroup(spec: ActionSpec, subgroup) -> list[LocusPiece]:
-    """Pieces of the locus fixed by every element of ``subgroup``.
-
-    Empty quadric pieces (singleton sectors) are kept with chi = 0 so
-    Burnside-style sums can run over all sectors uniformly.
-    """
-    secs = sectors(spec, subgroup)
+    sectors: dict[int, list[int]] = {}
+    for i in range(spec.num_coords) if support is None else support:
+        pattern = 0
+        for j, g in enumerate(elements):
+            pattern |= dot(chars[i], g) << j
+        sectors.setdefault(pattern, []).append(i)
     if spec.kind == "affine":
-        fixed = next(
-            (s.coords for s in secs if all(b == 0 for b in s.pattern)), ()
-        )
-        return [LocusPiece(AFFINE, fixed)]
-    if spec.kind == "projective":
-        return [_projective_class_piece(s.coords) for s in secs]
-    return [_quadric_class_piece(s.coords) for s in secs]
-
-
-def fixed_pieces(spec: ActionSpec, g: Bits) -> list[LocusPiece]:
-    """Pieces of the locus fixed by the single element ``g``.
-
-    The two sign classes are emitted + before -.  Equals
-    ``fixed_pieces_subgroup(spec, span([g]))`` elementwise.
-    """
-    chars = spec.characters
-    plus = tuple(i for i, chi in enumerate(chars) if dot(chi, g) == 0)
-    minus = tuple(i for i, chi in enumerate(chars) if dot(chi, g) == 1)
-    if spec.kind == "affine":
-        return [LocusPiece(AFFINE, plus)]
-    if spec.kind == "projective":
-        make = _projective_class_piece
-    else:
-        make = _quadric_class_piece
-    return [make(t) for t in (plus, minus) if t]
-
-
-def refine_piece(spec: ActionSpec, piece: LocusPiece, h: Bits) -> list[LocusPiece]:
-    """Intersect a fixed-locus piece with the fixed locus of ``h``.
-
-    The piece lives in one joint sector, so refining its support by the
-    sign of h on each coordinate and reapplying the sector rules gives
-    the intersection.
-    """
-    if piece.kind == EMPTY:
-        return [piece]
-    chars = spec.characters
-    plus = tuple(i for i in piece.support if dot(chars[i], h) == 0)
-    minus = tuple(i for i in piece.support if dot(chars[i], h) == 1)
-    if piece.kind == AFFINE:
-        return [LocusPiece(AFFINE, plus)]
-    if piece.kind in (PROJ, POINT):
-        return [_projective_class_piece(t) for t in (plus, minus) if t]
-    return [_quadric_class_piece(t) for t in (plus, minus) if t]
+        return [LocusPiece(AFFINE, tuple(sectors.get(0, ())))]
+    pieces = []
+    for pattern in sorted(sectors):
+        coords = tuple(sectors[pattern])
+        n = len(coords)
+        if spec.kind == "projective":
+            kind = POINT if n == 1 else PROJ
+        else:
+            kind = EMPTY if n == 1 else POINT_PAIR if n == 2 else FERMAT
+        pieces.append(LocusPiece(kind, coords))
+    return pieces

@@ -11,10 +11,11 @@
 
 from __future__ import annotations
 
-from .groups import ActionSpec, make_spec
+from .groups import ActionSpec, check_group_rank, make_spec
 
 
 def _flip_rows(k: int, c: int) -> list[list[int]]:
+    check_group_rank(k)  # before allocating the k x c matrix
     return [[1 if j == i else 0 for j in range(c)] for i in range(k)]
 
 

@@ -1,7 +1,7 @@
 """Assembly of the dimension-ordered semiorthogonal decomposition.
 
 Components are sorted by weakly decreasing coarse dimension; ties break
-deterministically by (element weight ascending, element bit value
+deterministically by (element weight ascending, element value
 ascending, + sector before - sector, split index).  Any refinement of
 the dimensional order is admissible, so the tie-break is a convention,
 fixed here once so reports are reproducible.
@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import mutations
-from .groups import ActionSpec, Bits, bit_value, dot, is_effective, make_spec, projective_kernel, weight
-from .inertia import CoarseType, InertiaComponent, SMOOTH, components
-from .loci import LocusPiece
+from .groups import ActionSpec, bit_list, dot, is_effective, projective_kernel
+from .inertia import InertiaComponent, SMOOTH, components
 
 
 @dataclass(frozen=True)
@@ -27,9 +26,9 @@ class SodReport:
     spec: ActionSpec
     components: tuple[InertiaComponent, ...]  # in decomposition order
     total_rank: int
-    grouping: tuple[tuple[Bits, tuple[int, ...]], ...]  # element -> positions
+    grouping: tuple[tuple[int, tuple[int, ...]], ...]  # element -> positions
     effective: bool
-    kernel: tuple[Bits, ...]
+    kernel: tuple[int, ...]
     smoothness_warnings: tuple[int, ...]  # positions with unknown smoothness
 
 
@@ -43,8 +42,8 @@ def _sector_sign(spec: ActionSpec, comp: InertiaComponent) -> int:
 def order_key(spec: ActionSpec, comp: InertiaComponent):
     return (
         -comp.coarse_dim,
-        weight(comp.element),
-        bit_value(comp.element),
+        comp.element.bit_count(),
+        comp.element,
         _sector_sign(spec, comp),
         comp.split_index or 0,
     )
@@ -52,7 +51,7 @@ def order_key(spec: ActionSpec, comp: InertiaComponent):
 
 def assemble(spec: ActionSpec) -> SodReport:
     comps = sorted(components(spec), key=lambda c: order_key(spec, c))
-    grouping: dict[Bits, list[int]] = {}
+    grouping: dict[int, list[int]] = {}
     for pos, comp in enumerate(comps):
         grouping.setdefault(comp.element, []).append(pos)
     kernel = projective_kernel(spec)
@@ -84,9 +83,10 @@ def piece_label(comp: InertiaComponent) -> str:
 
 def report_to_dict(report: SodReport) -> dict:
     doc = report.spec.to_dict()
+    k = report.spec.rank
     doc["components"] = [
         {
-            "element": list(c.element),
+            "element": bit_list(c.element, k),
             "support": list(c.piece.support),
             "geometry": c.piece.kind,
             "dim": c.coarse_dim,
@@ -101,44 +101,14 @@ def report_to_dict(report: SodReport) -> dict:
     doc["order"] = list(range(len(report.components)))
     doc["total_rank"] = report.total_rank
     doc["grouping"] = [
-        {"element": list(g), "positions": list(ps)} for g, ps in report.grouping
+        {"element": bit_list(g, k), "positions": list(ps)} for g, ps in report.grouping
     ]
     doc["flags"] = {
         "effective": report.effective,
-        "kernel": [list(g) for g in report.kernel],
+        "kernel": [bit_list(g, k) for g in report.kernel],
         "smoothness_warnings": list(report.smoothness_warnings),
     }
     return doc
-
-
-def report_from_dict(doc: dict) -> SodReport:
-    spec = make_spec(doc["space"]["kind"], doc["space"]["dim"], doc["action"])
-    comps = tuple(
-        InertiaComponent(
-            element=tuple(entry["element"]),
-            piece=LocusPiece(entry["geometry"], tuple(entry["support"])),
-            split_index=entry["split_index"],
-            coarse_dim=entry["dim"],
-            rank=entry["rank"],
-            coarse_type=CoarseType(
-                entry["coarse_type"]["kind"], entry["coarse_type"]["dim"]
-            ),
-            smooth=entry["smooth"],
-        )
-        for entry in doc["components"]
-    )
-    return SodReport(
-        spec=spec,
-        components=comps,
-        total_rank=doc["total_rank"],
-        grouping=tuple(
-            (tuple(entry["element"]), tuple(entry["positions"]))
-            for entry in doc["grouping"]
-        ),
-        effective=doc["flags"]["effective"],
-        kernel=tuple(tuple(g) for g in doc["flags"]["kernel"]),
-        smoothness_warnings=tuple(doc["flags"]["smoothness_warnings"]),
-    )
 
 
 @dataclass(frozen=True)
@@ -166,7 +136,7 @@ class MutationPlan:
 def grouped_block_order(report: SodReport) -> list[int]:
     """Target block order: same-element pieces contiguous, elements by
     first occurrence, pieces of one element in report order."""
-    seen: dict[Bits, list[int]] = {}
+    seen: dict[int, list[int]] = {}
     for pos, comp in enumerate(report.components):
         seen.setdefault(comp.element, []).append(pos)
     out: list[int] = []

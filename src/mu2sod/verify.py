@@ -8,7 +8,8 @@ the one that produced the actual value:
 * projective total ranks come from the closed form (n+1) * 2^k for
   effective actions;
 * the Burnside double sum (1/|G|) sum_{g,h} chi_c(X^g intersect X^h)
-  runs entirely through subgroup sectors, bypassing component splitting;
+  splits the whole space by the pair (g, h) at once, bypassing
+  component splitting;
 * Gram checks compare engine pairings against binomial matrices.
 
 Hand-computed fixture values (such as the quadric-surface count 17) are
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .euler import gram_report
-from .groups import ActionSpec, is_effective, make_spec, span
-from .loci import chi_c_total, fixed_pieces_subgroup
+from .groups import ActionSpec, bit_list, is_effective, make_spec
+from .loci import chi_c_total, fixed_pieces
 from .presets import etale, p2_example, pn_full, quadric
 from .sod import SodReport, assemble
 
@@ -87,7 +88,7 @@ def check_projective_rank(spec: ActionSpec) -> CheckResult:
 def burnside_double_sum(spec: ActionSpec) -> int:
     """sum over ordered pairs (g, h) of chi_c(X^<g,h>), no components involved."""
     return sum(
-        chi_c_total(fixed_pieces_subgroup(spec, span([g, h])))
+        chi_c_total(fixed_pieces(spec, (g, h)))
         for g in spec.group
         for h in spec.group
     )
@@ -174,7 +175,7 @@ def check_gram_presets() -> CheckResult:
         report = assemble(spec)
         result = gram_report(spec, report)
         if result.normalized:
-            context["normalized"][name] = [list(t) for t in result.twists]
+            context["normalized"][name] = [bit_list(t, spec.rank) for t in result.twists]
         if not result.triangular:
             failures.append(f"{name}: Gram is not unipotent upper triangular")
             continue

@@ -1,10 +1,13 @@
 import json
 
+import pytest
+
+from mu2sod import groups, verify
 from mu2sod.cli import main
 from mu2sod.euler import gram_report
 from mu2sod.mutations import identity_sequence
 from mu2sod.presets import p2_example
-from mu2sod.sod import assemble, report_from_dict
+from mu2sod.sod import assemble, report_to_dict
 
 P2_DOC = {
     "space": {"kind": "projective", "dim": 2},
@@ -42,7 +45,7 @@ def test_sod_round_trip(capsys):
     code, out = run(capsys, "sod", "--preset", "p2-example", "--json")
     doc = json.loads(out)
     doc.pop("msodc")
-    assert report_from_dict(doc) == assemble(p2_example())
+    assert doc == json.loads(json.dumps(report_to_dict(assemble(p2_example()))))
 
 
 def test_verify_etale(capsys):
@@ -222,3 +225,36 @@ def test_verify_presets_need_their_sizes(capsys):
         code, err = run_err(capsys, "verify", *argv)
         assert code == 2
         assert message in err
+
+
+def test_verify_programming_error_propagates(monkeypatch, capsys):
+    # a TypeError inside a check is a bug, not bad input: no exit 2
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(verify, "check_etale_sweep", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        main(["verify", "--check", "etale-sweep"])
+
+
+def test_group_rank_limit(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(groups, "MAX_GROUP_RANK", 2)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "projective", "dim": 3},
+        "group_rank": 3,
+        "action": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    }))
+    for argv in (
+        ["analyze", str(path)],
+        ["analyze", "--preset", "pn-full", "--n", "3"],
+        ["verify", "--preset", "quadric", "--q-dim", "2"],
+        ["verify", "--check", "quadric", "--q-dim", "2"],
+    ):
+        code, err = run_err(capsys, *argv)
+        assert code == 2, argv
+        assert "group_rank 3 exceeds the limit of 2" in err
+    # at the limit everything still runs
+    path.write_text(json.dumps(P2_DOC))
+    assert main(["analyze", str(path)]) == 0
+    assert main(["sod", "--preset", "pn-full", "--n", "2"]) == 0

@@ -16,16 +16,16 @@ from mu2sod.euler import (
     is_unipotent_upper,
     koszul,
 )
-from mu2sod.groups import bit_value, bits_from_value, identity, make_spec
+from mu2sod.groups import make_spec
 from mu2sod.presets import etale, p2_example, pn_full
 from mu2sod.sod import assemble
 
-TRIV2 = (0, 0)
+TRIV2 = 0
 
 
 def brute_cohomology(spec, support, e):
     """Oracle: enumerate monomials one by one and record their characters."""
-    chars = [bit_value(spec.characters[i]) for i in support]
+    chars = [spec.characters[i] for i in support]
     t = len(chars)
     out = [0] * (1 << spec.rank)
     if e >= 0:
@@ -101,7 +101,7 @@ def test_quadric_ambient_cohomology_allowed():
     vec = cohomology(spec, (0, 1, 2, 3), 1)
     assert len(vec) == 8
     assert sum(vec) == 4  # four ambient coordinates
-    assert euler_pairing(spec, KObject((0, 1), 0, (0, 0, 0)), KObject((2, 3), 0, (0, 0, 0))) == 0
+    assert euler_pairing(spec, KObject((0, 1), 0, 0), KObject((2, 3), 0, 0)) == 0
 
 
 def test_koszul_examples():
@@ -122,7 +122,7 @@ def test_koszul_examples():
 def test_koszul_size():
     spec = pn_full(3)
     for size in range(1, 5):
-        obj = KObject(tuple(range(size)), 2, identity(3))
+        obj = KObject(tuple(range(size)), 2, 0)
         assert len(koszul(spec, obj)) == 1 << (4 - size)
 
 
@@ -245,8 +245,8 @@ def test_fully_faithful_shadow_binomials():
             step = twist_step(spec, comp.piece.support)
             for a in range(m + 1):
                 for b in range(a, m + 1):
-                    first = KObject(comp.piece.support, step * a, identity(spec.rank))
-                    second = KObject(comp.piece.support, step * b, identity(spec.rank))
+                    first = KObject(comp.piece.support, step * a, 0)
+                    second = KObject(comp.piece.support, step * b, 0)
                     assert euler_pairing(spec, first, second) == comb(m + b - a, m)
 
 
@@ -265,14 +265,14 @@ def test_bilinearity_koszul_expansion():
     supports = [s for size in range(1, 4) for s in itertools.combinations(range(3), size)]
     for _ in range(40):
         first = KObject(
-            rng.choice(supports), rng.randint(-2, 4), bits_from_value(rng.randrange(4), 2)
+            rng.choice(supports), rng.randint(-2, 4), rng.randrange(4)
         )
         second = KObject(
-            rng.choice(supports), rng.randint(-2, 4), bits_from_value(rng.randrange(4), 2)
+            rng.choice(supports), rng.randint(-2, 4), rng.randrange(4)
         )
         direct = euler_pairing(spec, first, second)
         expanded = sum(
-            sign * euler_pairing(spec, first, KObject(full, twist, bits_from_value(cv, 2)))
+            sign * euler_pairing(spec, first, KObject(full, twist, cv))
             for twist, cv, sign in koszul(spec, second)
         )
         assert direct == expanded
@@ -294,12 +294,12 @@ def test_pairing_against_double_expansion_oracle():
             first = KObject(
                 rng.choice(supports),
                 rng.randint(-2, 4),
-                bits_from_value(rng.randrange(1 << spec.rank), spec.rank),
+                rng.randrange(1 << spec.rank),
             )
             second = KObject(
                 rng.choice(supports),
                 rng.randint(-2, 4),
-                bits_from_value(rng.randrange(1 << spec.rank), spec.rank),
+                rng.randrange(1 << spec.rank),
             )
             oracle = sum(
                 s1
@@ -315,7 +315,7 @@ def test_character_normalization_recovers_twist():
     spec = p2_example()
     objects, sizes = canonical_generators(spec, assemble(spec))
     # deliberately mis-twist the V(x) block (positions 3, 4) by chi_1
-    chi1 = (1, 0)
+    chi1 = 1
     broken = list(objects)
     broken[3] = broken[3].twisted(chi1)
     broken[4] = broken[4].twisted(chi1)
@@ -381,7 +381,7 @@ def test_gram_matches_pairwise_on_random_objects():
             KObject(
                 tuple(rng.sample(range(c), rng.randint(1, c))),
                 rng.randint(-3, 4),
-                bits_from_value(rng.randrange(1 << spec.rank), spec.rank),
+                rng.randrange(1 << spec.rank),
             )
             for _ in range(12)
         ]

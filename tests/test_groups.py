@@ -6,17 +6,12 @@ import pytest
 
 from mu2sod.groups import (
     SpecError,
-    bit_value,
-    bits_from_value,
-    elements,
-    identity,
+    bit_list,
+    dot,
     is_effective,
     make_spec,
-    pairing,
     parse_spec,
     projective_kernel,
-    span,
-    xor,
 )
 from mu2sod.presets import p2_example
 
@@ -29,36 +24,39 @@ P2_DOC = json.dumps(
 )
 
 
+def pairing(chi: int, g: int) -> int:
+    return -1 if dot(chi, g) else 1
+
+
 def test_pairing_examples():
-    assert pairing((1, 0), (1, 1)) == -1
-    assert pairing((0, 0), (1, 1)) == 1
-    assert pairing((0, 0), (0, 1)) == 1
-    assert pairing((1, 1), (1, 1)) == 1
-
-
-def test_pairing_length_mismatch():
-    with pytest.raises(ValueError):
-        pairing((1, 0), (1,))
+    # elements and characters are ints, bit i standing for generator i
+    assert pairing(0b01, 0b11) == -1
+    assert pairing(0b00, 0b11) == 1
+    assert pairing(0b00, 0b10) == 1
+    assert pairing(0b11, 0b11) == 1
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_pairing_multiplicative_exhaustive(k):
     size = 1 << k
-    bits = [bits_from_value(v, k) for v in range(size)]
-    for chi_v in range(size):
-        # independent oracle: sign via popcount of the AND mask
-        row = [pairing(bits[chi_v], bits[g_v]) for g_v in range(size)]
-        assert row == [(-1) ** bin(chi_v & g_v).count("1") for g_v in range(size)]
-        for g_v in range(size):
-            for h_v in range(size):
-                assert row[g_v ^ h_v] == row[g_v] * row[h_v]
+    for chi in range(size):
+        # independent oracle: the F_2 dot product of the little-endian lists
+        row = [pairing(chi, g) for g in range(size)]
+        lists = [bit_list(g, k) for g in range(size)]
+        chi_list = bit_list(chi, k)
+        assert row == [
+            (-1) ** sum(x * y for x, y in zip(chi_list, lists[g])) for g in range(size)
+        ]
+        for g in range(size):
+            for h in range(size):
+                assert row[g ^ h] == row[g] * row[h]
 
 
 def test_parse_p2_document():
     spec = parse_spec(P2_DOC)
     assert spec.kind == "projective"
     assert spec.num_coords == 3
-    assert spec.characters == ((1, 0), (0, 1), (0, 0))
+    assert spec.characters == (0b01, 0b10, 0b00)
     assert spec == p2_example()
 
 
@@ -67,7 +65,7 @@ def test_parse_trivial_group():
         json.dumps({"space": {"kind": "projective", "dim": 2}, "group_rank": 0, "action": []})
     )
     assert spec.rank == 0
-    assert spec.group == ((),)
+    assert list(spec.group) == [0]
 
 
 def test_parse_dimension_mismatch():
@@ -128,19 +126,19 @@ def test_projective_kernel_p2_example():
         signs = {pairing(chi, g) for chi in spec.characters}
         if len(signs) == 1:
             expected.append(g)
-    assert projective_kernel(spec) == expected == [(0, 0)]
+    assert projective_kernel(spec) == expected == [0]
     assert is_effective(spec)
 
 
 def test_projective_kernel_global_scalar():
     spec = make_spec("projective", 1, [[1, 1]])
-    assert projective_kernel(spec) == [(0,), (1,)]
+    assert projective_kernel(spec) == [0, 1]
     assert not is_effective(spec)
 
 
 def test_affine_kernel():
     spec = make_spec("affine", 2, [[1, 0]])
-    assert projective_kernel(spec) == [(0,)]
+    assert projective_kernel(spec) == [0]
     assert is_effective(spec)
 
 
@@ -152,31 +150,13 @@ def test_kernel_is_a_subgroup():
         rows = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(k)]
         kernel = projective_kernel(make_spec("projective", n, rows))
         members = set(kernel)
-        assert identity(k) in members
+        assert 0 in members
         for g, h in itertools.product(kernel, repeat=2):
-            assert xor(g, h) in members
-
-
-def test_span_examples():
-    assert span([(1, 0)]) == [(0, 0), (1, 0)]
-    assert span([(1, 0), (0, 1)]) == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert span([], rank=2) == [(0, 0)]
-    with pytest.raises(ValueError):
-        span([])
-
-
-def test_span_idempotent_and_contains_input():
-    rng = random.Random(3)
-    for _ in range(100):
-        k = rng.randint(1, 5)
-        vectors = [bits_from_value(rng.randrange(1 << k), k) for _ in range(rng.randint(1, 4))]
-        out = span(vectors)
-        assert set(vectors) <= set(out)
-        assert span(out) == out
-        values = [bit_value(v) for v in out]
-        assert values == sorted(values)
+            assert g ^ h in members
 
 
 def test_elements_order():
-    assert elements(2) == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert [bit_value(g) for g in elements(3)] == list(range(8))
+    # the group enumerates by integer value; bit i is generator i
+    spec = make_spec("projective", 2, [[1, 0, 0], [0, 1, 0]])
+    assert [bit_list(g, 2) for g in spec.group] == [[0, 0], [1, 0], [0, 1], [1, 1]]
+    assert list(make_spec("projective", 3, [[1, 0, 0, 0]] * 3).group) == list(range(8))

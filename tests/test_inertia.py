@@ -3,16 +3,15 @@ from collections import Counter
 
 import pytest
 
-from mu2sod.groups import dot, elements, make_spec
+from mu2sod.groups import dot, make_spec
 from mu2sod.inertia import (
     burnside_average,
-    coarse_chi,
-    coarse_type,
+    classify_piece,
     components,
     pair_is_swapped,
     residual_signs_mod_scalar,
 )
-from mu2sod.loci import LocusPiece, refine_piece
+from mu2sod.loci import LocusPiece, chi_c_total, fixed_pieces
 from mu2sod.presets import etale, p2_example, pn_full, quadric
 
 
@@ -26,7 +25,7 @@ def test_p2_example_components():
     assert all(c.rank == 1 for c in comps if c.coarse_dim == 0)
     # the point and the line of one nontrivial element pair up as in the
     # fixed-locus list {p} u V(x)
-    for g in [(1, 0), (0, 1), (1, 1)]:
+    for g in [0b01, 0b10, 0b11]:
         supports = sorted(len(c.piece.support) for c in comps if c.element == g)
         assert supports == [1, 2]
 
@@ -37,14 +36,14 @@ def test_etale_component_count_and_dims(n):
         comps = components(etale(n, k))
         assert len(comps) == 1 << k
         dims = Counter(c.coarse_dim for c in comps)
-        expected = Counter(n - sum(g) for g in elements(k))
+        expected = Counter(n - g.bit_count() for g in range(1 << k))
         assert dims == expected
         assert all(c.rank == 1 for c in comps)
 
 
 def test_quadric_merged_pairs():
     spec = quadric(2)
-    comps = [c for c in components(spec) if c.element == (1, 1, 0)]
+    comps = [c for c in components(spec) if c.element == 0b011]
     assert len(comps) == 2
     assert all(c.piece.kind == "point_pair" for c in comps)
     assert all(c.split_index is None for c in comps)  # merged, not split
@@ -84,22 +83,22 @@ def test_coarse_chi_p2_by_hand():
         sizes = Counter(dot(spec.characters[i], h) for i in plane.piece.support)
         total += sizes[0] + sizes[1]
     assert total == 12
-    assert coarse_chi(spec, plane) == total // 4 == 3
+    assert burnside_average(spec, plane.piece) == plane.rank == total // 4 == 3
     line = next(c for c in comps if c.coarse_dim == 1)
-    assert coarse_chi(spec, line) == 2
+    assert burnside_average(spec, line.piece) == line.rank == 2
 
 
 def test_coarse_chi_quadric_conic():
     spec = quadric(2)
     conic = next(
-        c for c in components(spec) if c.element == (1, 0, 0) and c.piece.kind == "fermat"
+        c for c in components(spec) if c.element == 0b001 and c.piece.kind == "fermat"
     )
     # oracle: sum chi over the refined pieces for every h, divide by 8
     total = sum(
-        sum(p.chi for p in refine_piece(spec, conic.piece, h)) for h in spec.group
+        chi_c_total(fixed_pieces(spec, (h,), conic.piece.support)) for h in spec.group
     )
     assert total == 16
-    assert coarse_chi(spec, conic) == 2
+    assert burnside_average(spec, conic.piece) == conic.rank == 2
 
 
 def test_burnside_integrality_random():
@@ -114,7 +113,7 @@ def test_burnside_integrality_random():
         order = len(spec.group)
         for comp in components(spec):
             total = sum(
-                sum(p.chi for p in refine_piece(spec, comp.piece, h))
+                chi_c_total(fixed_pieces(spec, (h,), comp.piece.support))
                 for h in spec.group
             )
             assert total % order == 0
@@ -128,12 +127,12 @@ def test_coarse_types_p2():
     plane = next(c for c in comps if c.coarse_dim == 2)
     assert (plane.coarse_type.kind, plane.coarse_type.dim) == ("projective", 2)
     assert plane.smooth == "smooth"
-    assert coarse_type(spec, plane) == (plane.coarse_type, "smooth")
+    assert classify_piece(spec, plane.piece) == (plane.coarse_type, "smooth")
 
 
 def test_coarse_type_quadric_untwisted():
     spec = quadric(2)
-    untwisted = next(c for c in components(spec) if c.element == (0, 0, 0))
+    untwisted = next(c for c in components(spec) if c.element == 0)
     assert untwisted.coarse_type.kind == "projective"
     assert untwisted.coarse_type.dim == 2
     assert untwisted.rank == 3
@@ -143,7 +142,7 @@ def test_coarse_type_undetermined_projective():
     # one flipped coordinate on P^2: the identity component's quotient is
     # P(2,1,1), which the classification rule correctly refuses to call smooth
     spec = make_spec("projective", 2, [[1, 0, 0]])
-    untwisted = next(c for c in components(spec) if c.element == (0,))
+    untwisted = next(c for c in components(spec) if c.element == 0)
     assert untwisted.coarse_type.kind == "undetermined"
     assert untwisted.coarse_type.dim == 2
     assert untwisted.smooth == "unknown"
@@ -167,11 +166,11 @@ def test_affine_coarse_types():
     )
     # non-reflection sign action: A^2 / (x,y) -> (-x,-y) has a singular quotient
     spec = make_spec("affine", 2, [[1, 1]])
-    untwisted = next(c for c in components(spec) if c.element == (0,))
+    untwisted = next(c for c in components(spec) if c.element == 0)
     assert untwisted.coarse_type.kind == "undetermined"
     assert untwisted.smooth == "unknown"
     assert untwisted.rank == 1
-    origin = next(c for c in components(spec) if c.element == (1,))
+    origin = next(c for c in components(spec) if c.element == 1)
     assert origin.coarse_type.kind == "point"
 
 

@@ -2,16 +2,8 @@ import random
 
 import pytest
 
-from mu2sod.groups import bits_from_value, elements, make_spec, span
-from mu2sod.loci import (
-    LocusPiece,
-    chi_c,
-    chi_c_total,
-    fixed_pieces,
-    fixed_pieces_subgroup,
-    refine_piece,
-    sectors,
-)
+from mu2sod.groups import make_spec
+from mu2sod.loci import LocusPiece, chi_c_total, fixed_pieces
 from mu2sod.presets import etale, p2_example, quadric
 
 
@@ -27,43 +19,44 @@ def random_spec(rng):
 
 
 def test_sectors_single_generator():
+    # the identity adds a constant 0 bit to every pattern, so the split by
+    # (identity, g) is the split by g: + sector first
     spec = p2_example()
-    secs = sectors(spec, [(0, 0), (1, 0)])
-    assert [s.coords for s in secs] == [(1, 2), (0,)]
-    assert [s.pattern for s in secs] == [(0, 0), (0, 1)]
+    pieces = fixed_pieces(spec, (0b00, 0b01))
+    assert [p.support for p in pieces] == [(1, 2), (0,)]
 
 
 def test_sectors_trivial_subgroup():
     spec = p2_example()
-    secs = sectors(spec, [(0, 0)])
-    assert [s.coords for s in secs] == [(0, 1, 2)]
+    assert [p.support for p in fixed_pieces(spec, ())] == [(0, 1, 2)]
+    assert [p.support for p in fixed_pieces(spec, (0b00,))] == [(0, 1, 2)]
 
 
 def test_sectors_full_group():
     spec = p2_example()
-    secs = sectors(spec, list(spec.group))
-    assert sorted(s.coords for s in secs) == [(0,), (1,), (2,)]
-    # restricted-character patterns are pairwise distinct and ascending
-    patterns = [s.pattern for s in secs]
-    assert len(set(patterns)) == 3
+    pieces = fixed_pieces(spec, tuple(spec.group))
+    # patterns over the whole group are pairwise distinct on p2-example;
+    # ascending order: coordinate 2 (all plus), then 0 (bit 1), then 1
+    assert [p.support for p in pieces] == [(2,), (0,), (1,)]
+    assert fixed_pieces(spec, (0b01, 0b10)) == pieces
 
 
 def test_fixed_pieces_p2_single_flip():
     spec = p2_example()
-    pieces = fixed_pieces(spec, (1, 0))
+    pieces = fixed_pieces(spec, (0b01,))
     assert pieces == [LocusPiece("projective", (1, 2)), LocusPiece("point", (0,))]
 
 
 def test_fixed_pieces_affine_preset():
     spec = etale(3, 2)
-    (piece,) = fixed_pieces(spec, (1, 1))
+    (piece,) = fixed_pieces(spec, (0b11,))
     assert piece == LocusPiece("affine", (2,))
     assert piece.dim == 1
 
 
 def test_fixed_pieces_quadric_weight_two():
     spec = quadric(2)
-    pieces = fixed_pieces(spec, (1, 1, 0))
+    pieces = fixed_pieces(spec, (0b011,))
     assert pieces == [
         LocusPiece("point_pair", (2, 3)),
         LocusPiece("point_pair", (0, 1)),
@@ -71,38 +64,34 @@ def test_fixed_pieces_quadric_weight_two():
 
 
 def test_fixed_pieces_subgroup_trivial():
-    assert fixed_pieces_subgroup(p2_example(), [(0, 0)]) == [
-        LocusPiece("projective", (0, 1, 2))
-    ]
-    assert fixed_pieces_subgroup(etale(3, 2), [(0, 0)]) == [LocusPiece("affine", (0, 1, 2))]
-    assert fixed_pieces_subgroup(quadric(2), [(0, 0, 0)]) == [
-        LocusPiece("fermat", (0, 1, 2, 3))
-    ]
+    assert fixed_pieces(p2_example(), (0,)) == [LocusPiece("projective", (0, 1, 2))]
+    assert fixed_pieces(etale(3, 2), (0,)) == [LocusPiece("affine", (0, 1, 2))]
+    assert fixed_pieces(quadric(2), (0,)) == [LocusPiece("fermat", (0, 1, 2, 3))]
 
 
 def test_fixed_pieces_subgroup_full_group_p2():
-    pieces = fixed_pieces_subgroup(p2_example(), list(p2_example().group))
+    pieces = fixed_pieces(p2_example(), tuple(p2_example().group))
     assert sorted(p.support for p in pieces) == [(0,), (1,), (2,)]
     assert all(p.kind == "point" for p in pieces)
 
 
 def test_fixed_pieces_subgroup_full_group_quadric():
     spec = quadric(2)
-    pieces = fixed_pieces_subgroup(spec, list(spec.group))
+    pieces = fixed_pieces(spec, tuple(spec.group))
     assert len(pieces) == 4
     assert all(p.kind == "empty" and len(p.support) == 1 for p in pieces)
     assert chi_c_total(pieces) == 0
 
 
 def test_chi_c_table():
-    assert chi_c(LocusPiece("affine", (0, 1, 2, 3, 4))) == 1
-    assert chi_c(LocusPiece("projective", (0, 1, 2))) == 3
-    assert chi_c(LocusPiece("fermat", (0, 1, 2, 3))) == 4  # quadric surface
-    assert chi_c(LocusPiece("fermat", (0, 1, 2))) == 2  # conic
-    assert chi_c(LocusPiece("fermat", (0, 1, 2, 3, 4))) == 4  # odd-dim quadric
-    assert chi_c(LocusPiece("point_pair", (0, 1))) == 2
-    assert chi_c(LocusPiece("point", (0,))) == 1
-    assert chi_c(LocusPiece("empty", (0,))) == 0
+    assert LocusPiece("affine", (0, 1, 2, 3, 4)).chi == 1
+    assert LocusPiece("projective", (0, 1, 2)).chi == 3
+    assert LocusPiece("fermat", (0, 1, 2, 3)).chi == 4  # quadric surface
+    assert LocusPiece("fermat", (0, 1, 2)).chi == 2  # conic
+    assert LocusPiece("fermat", (0, 1, 2, 3, 4)).chi == 4  # odd-dim quadric
+    assert LocusPiece("point_pair", (0, 1)).chi == 2
+    assert LocusPiece("point", (0,)).chi == 1
+    assert LocusPiece("empty", (0,)).chi == 0
     assert LocusPiece("empty", ()).dim == -1
 
 
@@ -120,11 +109,16 @@ def test_sector_partition_property():
     for _ in range(60):
         spec = random_spec(rng)
         size = rng.randint(0, 2)
-        gens = [bits_from_value(rng.randrange(1 << spec.rank), spec.rank) for _ in range(size)]
-        subgroup = span(gens, rank=spec.rank)
-        secs = sectors(spec, subgroup)
-        seen = [i for s in secs for i in s.coords]
-        assert sorted(seen) == list(range(spec.num_coords))
+        gens = tuple(rng.randrange(1 << spec.rank) for _ in range(size))
+        seen = [i for p in fixed_pieces(spec, gens) for i in p.support]
+        if spec.kind == "affine":
+            # only the all-plus sector survives
+            assert seen == [
+                i for i, chi in enumerate(spec.characters)
+                if all((chi & g).bit_count() % 2 == 0 for g in gens)
+            ]
+        else:
+            assert sorted(seen) == list(range(spec.num_coords))
 
 
 def test_projective_completeness():
@@ -134,44 +128,45 @@ def test_projective_completeness():
         if spec.kind != "projective":
             continue
         for g in spec.group:
-            pieces = fixed_pieces(spec, g)
+            pieces = fixed_pieces(spec, (g,))
             assert sum(len(p.support) for p in pieces) == spec.num_coords
             # chi_c additivity: each class contributes its size
             assert chi_c_total(pieces) == spec.num_coords
 
 
 def test_single_element_matches_span_subgroup():
+    # splitting by g and by the whole subgroup {1, g} gives the same pieces
     rng = random.Random(17)
     for _ in range(60):
         spec = random_spec(rng)
         for g in spec.group:
-            assert fixed_pieces(spec, g) == fixed_pieces_subgroup(spec, span([g]))
+            assert fixed_pieces(spec, (g,)) == fixed_pieces(spec, (0, g))
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_affine_dimension_law(n):
     for k in range(n + 1):
         spec = etale(n, k)
-        for g in elements(k):
-            (piece,) = fixed_pieces(spec, g)
-            assert piece.dim == n - sum(g)
+        for g in spec.group:
+            (piece,) = fixed_pieces(spec, (g,))
+            assert piece.dim == n - g.bit_count()
 
 
 def test_refine_piece_is_sector_refinement():
     spec = quadric(2)
-    conic = LocusPiece("fermat", (1, 2, 3))  # fixed by g = (1,0,0)
-    # h = (0,1,0) splits the support into {2,3} and {1}
-    refined = refine_piece(spec, conic, (0, 1, 0))
+    conic = LocusPiece("fermat", (1, 2, 3))  # fixed by g = 0b001
+    # h = 0b010 splits the support into {2,3} and {1}
+    refined = fixed_pieces(spec, (0b010,), conic.support)
     assert refined == [LocusPiece("point_pair", (2, 3)), LocusPiece("empty", (1,))]
     assert chi_c_total(refined) == 2
     # the identity refines to the piece itself
-    assert refine_piece(spec, conic, (0, 0, 0)) == [conic]
+    assert fixed_pieces(spec, (0,), conic.support) == [conic]
 
 
 def test_refine_piece_point_pair():
     spec = quadric(2)
     pair = LocusPiece("point_pair", (0, 1))
     # elements acting with equal signs keep both points, others swap them
-    assert chi_c_total(refine_piece(spec, pair, (0, 0, 0))) == 2
-    assert chi_c_total(refine_piece(spec, pair, (1, 1, 0))) == 2
-    assert chi_c_total(refine_piece(spec, pair, (1, 0, 0))) == 0
+    assert chi_c_total(fixed_pieces(spec, (0b000,), pair.support)) == 2
+    assert chi_c_total(fixed_pieces(spec, (0b011,), pair.support)) == 2
+    assert chi_c_total(fixed_pieces(spec, (0b001,), pair.support)) == 0
