@@ -213,10 +213,7 @@ def _verify_checks(args) -> list[verify.CheckResult]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = _verify_checks(args)
-    except (SpecError, ValueError) as exc:
-        return _fail(str(exc))
+    results = _verify_checks(args)
     if args.json:
         doc = [
             {
@@ -283,9 +280,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SpecError as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
+    except ValueError as exc:  # SpecError included
         return _fail(str(exc))
 
 

@@ -29,6 +29,9 @@ SPACE_KINDS = ("affine", "projective", "fermat_quadric")
 # Every layer loops over the 2^k group elements (the Burnside oracle over
 # 4^k pairs), so larger ranks are refused as input errors.
 MAX_GROUP_RANK = 12
+# The Gram of a projective spec walks the 2^c subsets of its c coordinates,
+# so its cost doubles with every dimension; larger spaces are refused too.
+MAX_DIM = 16
 
 
 class SpecError(ValueError):
@@ -45,7 +48,20 @@ def dot(chi: int, g: int) -> int:
     return (chi & g).bit_count() & 1
 
 
-def check_group_rank(rank: int) -> None:
+def f2_rank(values) -> int:
+    """Rank over F_2 of ints read as bit vectors (an XOR basis)."""
+    basis: list[int] = []
+    for v in values:
+        for b in basis:
+            v = min(v, v ^ b)  # clears b's leading bit, which no later b sets
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+def check_size(dim: int, rank: int) -> None:
+    if dim > MAX_DIM:
+        raise SpecError(f"space dimension {dim} exceeds the limit of {MAX_DIM}")
     if rank > MAX_GROUP_RANK:
         raise SpecError(f"group_rank {rank} exceeds the limit of {MAX_GROUP_RANK}")
 
@@ -73,7 +89,7 @@ class ActionSpec:
             raise SpecError("space dimension must be nonnegative")
         if self.rank < 0 or self.rank != len(self.rows):
             raise SpecError("group_rank must equal the number of action rows")
-        check_group_rank(self.rank)
+        check_size(self.dim, self.rank)
         c = self.num_coords
         for row in self.rows:
             if len(row) != c:

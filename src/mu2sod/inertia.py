@@ -5,24 +5,52 @@ element g: it is a connected piece of the fixed locus of g together with
 the residual action of the whole group.  Per component we compute
 
 * the coarse dimension (= dimension of the piece),
-* the rank, i.e. the Euler characteristic of the coarse moduli, by
-  Burnside averaging chi_c over the group,
+* the rank, i.e. the Euler characteristic of the coarse moduli,
 * a coarse-moduli classification (affine space / projective space /
   point) where the residual sign action makes the quotient recognizably
   one of those, and an explicit "undetermined" tag otherwise.
 
-A point pair x^2 + y^2 = 0 splits into two inertia components exactly
-when no group element swaps the two points, i.e. when the two
-supporting coordinates carry identical characters.
+All of it is read off the characters chi_i of the coordinates i in the
+piece's support T (t = |T|), without enumerating the group.  The map
+h -> (<chi_i, h>)_{i in T} sends G onto the residual sign group R of
+the piece; its kernel, the h orthogonal to every chi_i, has dimension
+k - rank{chi_i}, so |R| = 2^rank{chi_i}.  Modulo the global sign, the
+pattern normalized to a plus sign on the first coordinate t_0 is
+(<chi_i + chi_t0, h>)_i, so that order is 2^rank{chi_i + chi_t0}.
+
+* Rank.  By Burnside it is (1/|G|) sum_h chi_c(piece intersect X^h).
+  An affine piece meets every X^h in a linear subspace (chi_c = 1), and
+  a projective piece or point on t coordinates in sub-projective spaces
+  covering all t coordinates (chi_c = t).  A Fermat piece splits into
+  the quadrics on the + and - sectors of h, and a Fermat sector on s
+  coordinates has chi_c = 2 floor(s/2) (a point pair for s = 2, nothing
+  for s = 1).  For odd t that sums to t - 1 for every h; for even t to
+  t, or t - 2 when the - sector is odd.  Its parity is
+  <XOR of the chi_i, h>, which is odd for none of the h when the XOR is
+  0 and for half of them otherwise, so the rank is t when t is even and
+  the chi_i XOR to 0, and t - 1 otherwise.  A point pair (merged or
+  either half of a split one) has rank 1.
+* Pair split.  The pair x_a^2 + x_b^2 = 0 is {x_a = i x_b} and
+  {x_a = -i x_b}; h exchanges them iff <chi_a + chi_b, h> = 1, which
+  some h does unless chi_a = chi_b.  So the pair splits into two
+  inertia components exactly when its two characters are equal.
+* Affine reflection test.  A sign group on A^t has an affine-space
+  quotient iff it is generated by single-coordinate flips.  The flip of
+  coordinate j lies in R iff chi_j is not in the span of the other
+  characters, i.e. iff dropping j lowers the rank; those flips span a
+  subgroup of R of dimension their number, so R is reflection-generated
+  iff that number equals rank{chi_i}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
-from .groups import ActionSpec, dot
+from .groups import ActionSpec, f2_rank
 from .loci import AFFINE, EMPTY, FERMAT, POINT, POINT_PAIR, PROJ
-from .loci import LocusPiece, chi_c_total, fixed_pieces
+from .loci import LocusPiece, fixed_pieces
 
 SMOOTH = "smooth"
 UNKNOWN = "unknown"
@@ -54,58 +82,10 @@ class InertiaComponent:
     smooth: str
 
 
-def residual_signs(spec: ActionSpec, coords: tuple[int, ...]) -> set[int]:
-    """Sign patterns through which the group acts on the given coordinates,
-    bit j of a pattern being the sign on ``coords[j]``."""
-    chars = [spec.characters[i] for i in coords]
-    return {
-        sum(dot(chi, g) << j for j, chi in enumerate(chars)) for g in spec.group
-    }
-
-
-def residual_signs_mod_scalar(spec: ActionSpec, coords: tuple[int, ...]) -> set[int]:
-    """Residual sign patterns modulo the global sign (trivial in PGL),
-    normalized to a plus sign on ``coords[0]``."""
-    full = (1 << len(coords)) - 1
-    return {p ^ full if p & 1 else p for p in residual_signs(spec, coords)}
-
-
-def pair_is_swapped(spec: ActionSpec, piece: LocusPiece) -> bool:
-    """Whether some group element exchanges the two points of a pair.
-
-    The pair is {x_a = i x_b} and {x_a = -i x_b}; an element swaps them
-    iff it rescales x_a and x_b by opposite signs.
-    """
-    a, b = piece.support
-    chi_a, chi_b = spec.characters[a], spec.characters[b]
-    return any(dot(chi_a, h) != dot(chi_b, h) for h in spec.group)
-
-
-def burnside_average(spec: ActionSpec, piece: LocusPiece) -> int:
-    """(1/|G|) sum_h chi_c(piece intersect X^h), checked to be integral."""
-    order = len(spec.group)
-    total = sum(
-        chi_c_total(fixed_pieces(spec, (h,), piece.support)) for h in spec.group
-    )
-    if total % order:
-        raise ArithmeticError(
-            f"non-integral Burnside average {total}/{order} for {piece}; "
-            "this indicates a component-splitting bug"
-        )
-    return total // order
-
-
-def _is_reflection_generated(patterns: set[int]) -> bool:
-    """Whether a sign subgroup is generated by single-coordinate flips.
-
-    Quotients of affine space by diagonal signs are smooth (and again
-    affine space) exactly in this case.
-    """
-    flipped = 0
-    for p in patterns:
-        if p.bit_count() == 1:
-            flipped |= p
-    return all(p & ~flipped == 0 for p in patterns)
+def _rank_mod_scalar(spec: ActionSpec, coords: tuple[int, ...]) -> int:
+    """log2 of the residual sign-group order modulo the global sign."""
+    chi_0 = spec.characters[coords[0]]
+    return f2_rank(spec.characters[i] ^ chi_0 for i in coords)
 
 
 def classify_piece(spec: ActionSpec, piece: LocusPiece) -> tuple[CoarseType, str]:
@@ -121,15 +101,18 @@ def classify_piece(spec: ActionSpec, piece: LocusPiece) -> tuple[CoarseType, str
     if piece.kind == AFFINE:
         if t == 0:
             return CoarseType("point", 0), SMOOTH
-        if _is_reflection_generated(residual_signs(spec, piece.support)):
+        chars = [spec.characters[i] for i in piece.support]
+        r = f2_rank(chars)
+        flips = sum(f2_rank(chars[:j] + chars[j + 1:]) < r for j in range(t))
+        if flips == r:
             return CoarseType("affine", t), SMOOTH
         return CoarseType("undetermined", t), UNKNOWN
     if piece.kind in (POINT, POINT_PAIR):
         return CoarseType("point", 0), SMOOTH
-    residual = residual_signs_mod_scalar(spec, piece.support)
-    full = len(residual) == 1 << (t - 1)
+    r = _rank_mod_scalar(spec, piece.support)
+    full = r == t - 1
     if piece.kind == PROJ:
-        if len(residual) == 1 or full:
+        if r == 0 or full:
             return CoarseType("projective", t - 1), SMOOTH
         return CoarseType("undetermined", t - 1), UNKNOWN
     if piece.kind == FERMAT:
@@ -146,22 +129,29 @@ def twist_step(spec: ActionSpec, coords: tuple[int, ...]) -> int:
     coordinate, so pulling back O(1) gives O(2)); 1 when they are
     trivial (the quotient map is the identity).
     """
-    residual = residual_signs_mod_scalar(spec, coords)
-    if len(residual) == 1:
+    r = _rank_mod_scalar(spec, coords)
+    if r == 0:
         return 1
-    if len(residual) == 1 << (len(coords) - 1):
+    if r == len(coords) - 1:
         return 2
     raise ValueError("quotient map degree is only defined for classified sectors")
+
+
+def _piece_rank(spec: ActionSpec, piece: LocusPiece) -> int:
+    t = len(piece.support)
+    if piece.kind in (AFFINE, POINT_PAIR):
+        return 1
+    if piece.kind == FERMAT:
+        parity = reduce(xor, (spec.characters[i] for i in piece.support), 0)
+        return t if t % 2 == 0 and parity == 0 else t - 1
+    return t  # point or projective
 
 
 def _make_component(
     spec: ActionSpec, g: int, piece: LocusPiece, split_index: int | None
 ) -> InertiaComponent:
     ctype, smooth = classify_piece(spec, piece)
-    if split_index is not None or piece.kind == POINT_PAIR:
-        rank = 1
-    else:
-        rank = burnside_average(spec, piece)
+    rank = _piece_rank(spec, piece)
     if ctype.kind == "projective" and rank != ctype.dim + 1:
         raise ArithmeticError(
             f"rank {rank} disagrees with projective coarse type P{ctype.dim}"
@@ -180,12 +170,13 @@ def _make_component(
 def components(spec: ActionSpec) -> list[InertiaComponent]:
     """All inertia components: one per (element, nonempty fixed piece),
     except that a point pair nobody swaps contributes two components."""
+    chars = spec.characters
     out = []
     for g in spec.group:
         for piece in fixed_pieces(spec, (g,)):
             if piece.kind == EMPTY:
                 continue
-            if piece.kind == POINT_PAIR and not pair_is_swapped(spec, piece):
+            if piece.kind == POINT_PAIR and chars[piece.support[0]] == chars[piece.support[1]]:
                 out.append(_make_component(spec, g, piece, 1))
                 out.append(_make_component(spec, g, piece, 2))
             else:

@@ -86,11 +86,10 @@ def chi_c_total(pieces: list[LocusPiece]) -> int:
     return sum(p.chi for p in pieces)
 
 
-def fixed_pieces(spec: ActionSpec, elements, support=None) -> list[LocusPiece]:
-    """Pieces of the locus fixed by every element of ``elements`` inside
-    the coordinate subspace on ``support`` (default: all coordinates).
+def fixed_pieces(spec: ActionSpec, elements) -> list[LocusPiece]:
+    """Pieces of the locus fixed by every element of ``elements``.
 
-    The support splits into sectors by sign pattern, bit j of a
+    The coordinates split into sectors by sign pattern, bit j of a
     coordinate's pattern being <chi, elements[j]>; sectors come out in
     ascending pattern order, so an all-plus sector comes first.  Affine:
     the all-plus sector only.  Projective: a point or a projective space
@@ -100,7 +99,7 @@ def fixed_pieces(spec: ActionSpec, elements, support=None) -> list[LocusPiece]:
     """
     chars = spec.characters
     sectors: dict[int, list[int]] = {}
-    for i in range(spec.num_coords) if support is None else support:
+    for i in range(spec.num_coords):
         pattern = 0
         for j, g in enumerate(elements):
             pattern |= dot(chars[i], g) << j

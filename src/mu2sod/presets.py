@@ -11,18 +11,18 @@
 
 from __future__ import annotations
 
-from .groups import ActionSpec, check_group_rank, make_spec
+from .groups import ActionSpec, check_size, make_spec
 
 
-def _flip_rows(k: int, c: int) -> list[list[int]]:
-    check_group_rank(k)  # before allocating the k x c matrix
+def _flip_rows(dim: int, k: int, c: int) -> list[list[int]]:
+    check_size(dim, k)  # before allocating the k x c matrix
     return [[1 if j == i else 0 for j in range(c)] for i in range(k)]
 
 
 def etale(n: int, k: int) -> ActionSpec:
     if not 0 <= k <= n:
         raise ValueError(f"etale preset needs 0 <= k <= n, got k={k}, n={n}")
-    return make_spec("affine", n, _flip_rows(k, n))
+    return make_spec("affine", n, _flip_rows(n, k, n))
 
 
 def p2_example() -> ActionSpec:
@@ -32,13 +32,13 @@ def p2_example() -> ActionSpec:
 def pn_full(n: int) -> ActionSpec:
     if n < 1:
         raise ValueError("pn-full preset needs n >= 1")
-    return make_spec("projective", n, _flip_rows(n, n + 1))
+    return make_spec("projective", n, _flip_rows(n, n, n + 1))
 
 
 def quadric(q_dim: int) -> ActionSpec:
     if q_dim < 1:
         raise ValueError("quadric preset needs q_dim >= 1")
-    return make_spec("fermat_quadric", q_dim, _flip_rows(q_dim + 1, q_dim + 2))
+    return make_spec("fermat_quadric", q_dim, _flip_rows(q_dim, q_dim + 1, q_dim + 2))
 
 
 def preset(name: str, n: int | None = None, k: int | None = None, q_dim: int | None = None) -> ActionSpec:

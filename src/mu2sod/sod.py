@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import mutations
-from .groups import ActionSpec, bit_list, dot, is_effective, projective_kernel
+from .groups import ActionSpec, bit_list, dot, projective_kernel
 from .inertia import InertiaComponent, SMOOTH, components
 
 
@@ -60,7 +60,7 @@ def assemble(spec: ActionSpec) -> SodReport:
         components=tuple(comps),
         total_rank=sum(c.rank for c in comps),
         grouping=tuple((g, tuple(ps)) for g, ps in grouping.items()),
-        effective=is_effective(spec),
+        effective=kernel == [0],
         kernel=tuple(kernel),
         smoothness_warnings=tuple(
             pos for pos, c in enumerate(comps) if c.smooth != SMOOTH
@@ -136,13 +136,7 @@ class MutationPlan:
 def grouped_block_order(report: SodReport) -> list[int]:
     """Target block order: same-element pieces contiguous, elements by
     first occurrence, pieces of one element in report order."""
-    seen: dict[int, list[int]] = {}
-    for pos, comp in enumerate(report.components):
-        seen.setdefault(comp.element, []).append(pos)
-    out: list[int] = []
-    for positions in seen.values():
-        out.extend(positions)
-    return out
+    return [pos for _, positions in report.grouping for pos in positions]
 
 
 def msodc_plan(report: SodReport, gram: list[list[int]] | None = None) -> MutationPlan:

@@ -258,3 +258,32 @@ def test_group_rank_limit(monkeypatch, tmp_path, capsys):
     path.write_text(json.dumps(P2_DOC))
     assert main(["analyze", str(path)]) == 0
     assert main(["sod", "--preset", "pn-full", "--n", "2"]) == 0
+
+
+def test_space_dim_limit(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "affine", "dim": 300000},
+        "group_rank": 0,
+        "action": [],
+    }))
+    huge = str(10**9)  # refused before any k x c matrix is allocated
+    for argv in (
+        ["analyze", str(path)],
+        ["gram", "--preset", "pn-full", "--n", huge],
+        ["analyze", "--preset", "etale", "--n", huge, "--k", "1"],
+        ["sod", "--preset", "quadric", "--q-dim", huge],
+        ["verify", "--preset", "etale", "--n", huge, "--k", "1"],
+        ["verify", "--check", "quadric", "--q-dim", huge],
+    ):
+        code, err = run_err(capsys, *argv)
+        assert code == 2, argv
+        assert "space dimension" in err and f"exceeds the limit of {groups.MAX_DIM}" in err
+    # at the limit everything still runs
+    path.write_text(json.dumps({
+        "space": {"kind": "projective", "dim": groups.MAX_DIM},
+        "group_rank": 0,
+        "action": [],
+    }))
+    assert main(["analyze", str(path)]) == 0
+    assert main(["analyze", "--preset", "etale", "--n", str(groups.MAX_DIM), "--k", "2"]) == 0

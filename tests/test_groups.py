@@ -8,6 +8,7 @@ from mu2sod.groups import (
     SpecError,
     bit_list,
     dot,
+    f2_rank,
     is_effective,
     make_spec,
     parse_spec,
@@ -160,3 +161,16 @@ def test_elements_order():
     spec = make_spec("projective", 2, [[1, 0, 0], [0, 1, 0]])
     assert [bit_list(g, 2) for g in spec.group] == [[0, 0], [1, 0], [0, 1], [1, 1]]
     assert list(make_spec("projective", 3, [[1, 0, 0, 0]] * 3).group) == list(range(8))
+
+
+def test_f2_rank_against_span_size():
+    # the span of r independent vectors has 2^r elements
+    rng = random.Random(31)
+    for _ in range(300):
+        values = [rng.randrange(1 << 6) for _ in range(rng.randint(0, 7))]
+        span = {0}
+        for v in values:
+            span |= {s ^ v for s in span}
+        assert 1 << f2_rank(values) == len(span), values
+    assert f2_rank([]) == f2_rank([0, 0]) == 0
+    assert f2_rank([0b011, 0b101, 0b110]) == 2

@@ -3,16 +3,22 @@ from collections import Counter
 
 import pytest
 
-from mu2sod.groups import dot, make_spec
-from mu2sod.inertia import (
-    burnside_average,
-    classify_piece,
-    components,
-    pair_is_swapped,
-    residual_signs_mod_scalar,
-)
+from mu2sod.groups import dot, f2_rank, make_spec
+from mu2sod.inertia import classify_piece, components, twist_step
 from mu2sod.loci import LocusPiece, chi_c_total, fixed_pieces
 from mu2sod.presets import etale, p2_example, pn_full, quadric
+
+
+def burnside_by_pairs(spec, comp):
+    """(1/|G|) sum_h chi_c(piece intersect X^h), read off the split of the
+    whole space by (g, h): the pieces inside the component's support."""
+    inside = set(comp.piece.support)
+    total = sum(
+        chi_c_total([p for p in fixed_pieces(spec, (comp.element, h)) if inside >= set(p.support)])
+        for h in spec.group
+    )
+    assert total % len(spec.group) == 0
+    return total // len(spec.group)
 
 
 def test_p2_example_components():
@@ -55,7 +61,7 @@ def test_split_pair_on_duplicate_characters():
     # the two points of x0^2 + x1^2 = 0 and they split into two components
     spec = make_spec("fermat_quadric", 1, [[1, 1, 0]])
     pair = LocusPiece("point_pair", (0, 1))
-    assert not pair_is_swapped(spec, pair)
+    assert spec.characters[0] == spec.characters[1]
     comps = components(spec)
     split = [c for c in comps if c.split_index is not None]
     assert [c.split_index for c in split] == [1, 2]
@@ -68,9 +74,15 @@ def test_split_pair_on_duplicate_characters():
 
 
 def test_swap_criterion():
+    # distinct characters: some element negates exactly one of the two
+    # coordinates, so it swaps the points and the pair stays one component
     spec = quadric(2)
-    assert pair_is_swapped(spec, LocusPiece("point_pair", (0, 1)))
-    assert pair_is_swapped(spec, LocusPiece("point_pair", (2, 3)))
+    pairs = [c for c in components(spec) if c.piece.kind == "point_pair"]
+    supports = {c.piece.support for c in pairs}
+    assert {(0, 1), (2, 3)} <= supports
+    assert all(c.split_index is None for c in pairs)
+    for a, b in supports:
+        assert any(dot(spec.characters[a], h) != dot(spec.characters[b], h) for h in spec.group)
 
 
 def test_coarse_chi_p2_by_hand():
@@ -83,9 +95,9 @@ def test_coarse_chi_p2_by_hand():
         sizes = Counter(dot(spec.characters[i], h) for i in plane.piece.support)
         total += sizes[0] + sizes[1]
     assert total == 12
-    assert burnside_average(spec, plane.piece) == plane.rank == total // 4 == 3
+    assert burnside_by_pairs(spec, plane) == plane.rank == total // 4 == 3
     line = next(c for c in comps if c.coarse_dim == 1)
-    assert burnside_average(spec, line.piece) == line.rank == 2
+    assert burnside_by_pairs(spec, line) == line.rank == 2
 
 
 def test_coarse_chi_quadric_conic():
@@ -93,12 +105,14 @@ def test_coarse_chi_quadric_conic():
     conic = next(
         c for c in components(spec) if c.element == 0b001 and c.piece.kind == "fermat"
     )
-    # oracle: sum chi over the refined pieces for every h, divide by 8
-    total = sum(
-        chi_c_total(fixed_pieces(spec, (h,), conic.piece.support)) for h in spec.group
-    )
+    # oracle: chi of the + and - sectors of every h on the conic's
+    # support, x^2 = 0 giving nothing and x^2 + y^2 = 0 two points
+    total = 0
+    for h in spec.group:
+        sizes = Counter(dot(spec.characters[i], h) for i in conic.piece.support)
+        total += sum({0: 0, 1: 0, 2: 2, 3: 2}[n] for n in (sizes[0], sizes[1]))
     assert total == 16
-    assert burnside_average(spec, conic.piece) == conic.rank == 2
+    assert burnside_by_pairs(spec, conic) == conic.rank == 2
 
 
 def test_burnside_integrality_random():
@@ -110,15 +124,10 @@ def test_burnside_integrality_random():
         k = rng.randint(0, min(3, c))
         rows = [[rng.randint(0, 1) for _ in range(c)] for _ in range(k)]
         spec = make_spec(kind, n, rows)
-        order = len(spec.group)
         for comp in components(spec):
-            total = sum(
-                chi_c_total(fixed_pieces(spec, (h,), comp.piece.support))
-                for h in spec.group
-            )
-            assert total % order == 0
-            if comp.split_index is None and comp.piece.kind != "point_pair":
-                assert total // order == comp.rank
+            average = burnside_by_pairs(spec, comp)  # asserts integrality
+            if comp.split_index is None:
+                assert average == comp.rank
 
 
 def test_coarse_types_p2():
@@ -176,9 +185,25 @@ def test_affine_coarse_types():
 
 def test_residual_signs_mod_scalar():
     spec = p2_example()
-    full = residual_signs_mod_scalar(spec, (0, 1, 2))
-    assert len(full) == 4  # full sign group of 3 coordinates mod scalars
-    assert len(residual_signs_mod_scalar(spec, (1, 2))) == 2
+
+    def classes(coords):
+        # sign patterns over the group modulo the global sign
+        full = (1 << len(coords)) - 1
+        patterns = {
+            sum(dot(spec.characters[i], h) << j for j, i in enumerate(coords))
+            for h in spec.group
+        }
+        return {p ^ full if p & 1 else p for p in patterns}
+
+    assert len(classes((0, 1, 2))) == 4  # full sign group of 3 coordinates mod scalars
+    assert len(classes((1, 2))) == 2
+    for coords in [(0, 1, 2), (1, 2)]:
+        chi_0 = spec.characters[coords[0]]
+        assert len(classes(coords)) == 1 << f2_rank(spec.characters[i] ^ chi_0 for i in coords)
+        assert twist_step(spec, coords) == 2
+    assert twist_step(make_spec("projective", 2, []), (0, 1, 2)) == 1
+    with pytest.raises(ValueError):
+        twist_step(make_spec("projective", 2, [[1, 0, 0]]), (0, 1, 2))
 
 
 def test_projective_rank_cross_check():
@@ -187,8 +212,7 @@ def test_projective_rank_cross_check():
         for comp in components(spec):
             if comp.coarse_type.kind == "projective":
                 assert comp.rank == comp.coarse_type.dim + 1
-                if comp.piece.kind != "point_pair":
-                    assert burnside_average(spec, comp.piece) == comp.rank
+                assert burnside_by_pairs(spec, comp) == comp.rank
 
 
 def test_component_invariants_random():

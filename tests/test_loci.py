@@ -155,18 +155,25 @@ def test_affine_dimension_law(n):
 def test_refine_piece_is_sector_refinement():
     spec = quadric(2)
     conic = LocusPiece("fermat", (1, 2, 3))  # fixed by g = 0b001
-    # h = 0b010 splits the support into {2,3} and {1}
-    refined = fixed_pieces(spec, (0b010,), conic.support)
+    assert conic in fixed_pieces(spec, (0b001,))
+    # adding h = 0b010 splits the conic's support into {2,3} and {1}
+    refined = [p for p in fixed_pieces(spec, (0b001, 0b010)) if set(p.support) <= {1, 2, 3}]
     assert refined == [LocusPiece("point_pair", (2, 3)), LocusPiece("empty", (1,))]
     assert chi_c_total(refined) == 2
     # the identity refines to the piece itself
-    assert fixed_pieces(spec, (0,), conic.support) == [conic]
+    assert conic in fixed_pieces(spec, (0b001, 0))
 
 
 def test_refine_piece_point_pair():
     spec = quadric(2)
-    pair = LocusPiece("point_pair", (0, 1))
+    pair = LocusPiece("point_pair", (0, 1))  # fixed by g = 0b011
+    assert pair in fixed_pieces(spec, (0b011,))
+
+    def chi_inside_pair(h):
+        pieces = fixed_pieces(spec, (0b011, h))
+        return chi_c_total([p for p in pieces if set(p.support) <= {0, 1}])
+
     # elements acting with equal signs keep both points, others swap them
-    assert chi_c_total(fixed_pieces(spec, (0b000,), pair.support)) == 2
-    assert chi_c_total(fixed_pieces(spec, (0b011,), pair.support)) == 2
-    assert chi_c_total(fixed_pieces(spec, (0b001,), pair.support)) == 0
+    assert chi_inside_pair(0b000) == 2
+    assert chi_inside_pair(0b011) == 2
+    assert chi_inside_pair(0b001) == 0

@@ -104,9 +104,14 @@ def test_msodc_plan_p2():
 def test_msodc_plan_idempotent():
     report = assemble(p2_example())
     plan = msodc_plan(report)
+    comps = tuple(report.components[i] for i in plan.block_order)
+    grouping: dict[int, list[int]] = {}
+    for pos, comp in enumerate(comps):
+        grouping.setdefault(comp.element, []).append(pos)
     regrouped = dataclasses.replace(
         report,
-        components=tuple(report.components[i] for i in plan.block_order),
+        components=comps,
+        grouping=tuple((g, tuple(ps)) for g, ps in grouping.items()),
     )
     assert msodc_plan(regrouped).moves == ()
 
