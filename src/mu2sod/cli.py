@@ -208,7 +208,8 @@ def _verify_checks(args) -> list[verify.CheckResult]:
         return _quadric_check(args)
     if args.preset or args.input:
         spec = _load_spec(args)
-        return [verify.check_projective_rank(spec), verify.check_burnside_total(spec)]
+        report = assemble(spec)
+        return [verify.check_projective_rank(spec, report), verify.check_burnside_total(spec, report)]
     return verify.run_battery()
 
 

@@ -27,7 +27,7 @@ from functools import cached_property
 SPACE_KINDS = ("affine", "projective", "fermat_quadric")
 
 # Every layer loops over the 2^k group elements (the Burnside oracle over
-# 4^k pairs), so larger ranks are refused as input errors.
+# pairs of distinct sign masks), so larger ranks are refused as input errors.
 MAX_GROUP_RANK = 12
 # The Gram of a projective spec walks the 2^c subsets of its c coordinates,
 # so its cost doubles with every dimension; larger spaces are refused too.

@@ -16,8 +16,7 @@ generate) is assembled from the sectors:
   reduced points.
 
 Pieces carry the combinatorial data downstream actually needs: geometry
-tag, supporting coordinate set, dimension, and compactly-supported Euler
-characteristic.
+tag, supporting coordinate set and dimension.
 """
 
 from __future__ import annotations
@@ -65,26 +64,6 @@ class LocusPiece:
             return -1
         return 0  # point, point_pair
 
-    @property
-    def chi(self) -> int:
-        """Euler characteristic with compact support."""
-        if self.kind == AFFINE:
-            return 1
-        if self.kind == PROJ:
-            return len(self.support)
-        if self.kind == POINT:
-            return 1
-        if self.kind == POINT_PAIR:
-            return 2
-        if self.kind == FERMAT:
-            d = self.dim
-            return d + 2 if d % 2 == 0 else d + 1
-        return 0  # empty
-
-
-def chi_c_total(pieces: list[LocusPiece]) -> int:
-    return sum(p.chi for p in pieces)
-
 
 def fixed_pieces(spec: ActionSpec, elements) -> list[LocusPiece]:
     """Pieces of the locus fixed by every element of ``elements``.
@@ -93,9 +72,9 @@ def fixed_pieces(spec: ActionSpec, elements) -> list[LocusPiece]:
     coordinate's pattern being <chi, elements[j]>; sectors come out in
     ascending pattern order, so an all-plus sector comes first.  Affine:
     the all-plus sector only.  Projective: a point or a projective space
-    per sector.  Quadric: an empty piece (kept with chi = 0, so Burnside
-    sums can run over all sectors uniformly), a point pair or a Fermat
-    quadric per sector.
+    per sector.  Quadric: an empty piece, a point pair or a Fermat quadric
+    per sector, so the pieces partition the coordinates as on P^n
+    (``inertia.components`` skips the empty ones).
     """
     chars = spec.characters
     sectors: dict[int, list[int]] = {}

@@ -8,8 +8,8 @@ the one that produced the actual value:
 * projective total ranks come from the closed form (n+1) * 2^k for
   effective actions;
 * the Burnside double sum (1/|G|) sum_{g,h} chi_c(X^g intersect X^h)
-  splits the whole space by the pair (g, h) at once, bypassing
-  component splitting;
+  splits the whole space by the sign masks of (g, h) at once,
+  bypassing fixed pieces and component splitting;
 * Gram checks compare engine pairings against binomial matrices.
 
 Hand-computed fixture values (such as the quadric-surface count 17) are
@@ -19,12 +19,12 @@ asserted in the test suite only after these oracles reproduce them.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
 from .euler import gram_report
-from .groups import ActionSpec, bit_list, is_effective, make_spec
-from .loci import chi_c_total, fixed_pieces
+from .groups import ActionSpec, bit_list, dot, is_effective, make_spec
 from .presets import etale, p2_example, pn_full, quadric
 from .sod import SodReport, assemble
 
@@ -74,24 +74,43 @@ def check_etale(n: int, k: int) -> CheckResult:
     return _result(f"etale(n={n}, k={k})", expected, actual)
 
 
-def check_projective_rank(spec: ActionSpec) -> CheckResult:
+def check_projective_rank(spec: ActionSpec, report: SodReport | None = None) -> CheckResult:
     """Total rank of an effective projective action is (n+1) * 2^k."""
     name = f"projective-rank(n={spec.dim}, k={spec.rank})"
     if spec.kind != "projective":
         return CheckResult(name, SKIPPED, context={"reason": "not a projective spec"})
-    if not is_effective(spec):
+    if report is None:
+        report = assemble(spec)
+    if not report.effective:
         return CheckResult(name, SKIPPED, context={"reason": "nontrivial projective kernel"})
-    report = assemble(spec)
     return _result(name, (spec.dim + 1) << spec.rank, report.total_rank)
 
 
+def _sector_chi(kind: str, size: int, all_plus: bool) -> int:
+    """chi_c of one sign sector's share of a fixed locus: the affine space
+    of the all-plus sector on A^n, P^(size-1) on P^n, and on a Fermat
+    quadric the sub-quadric on the sector (no point for size 1)."""
+    if kind == "affine":
+        return int(all_plus)
+    return size if kind == "projective" else size - (size & 1)
+
+
 def burnside_double_sum(spec: ActionSpec) -> int:
-    """sum over ordered pairs (g, h) of chi_c(X^<g,h>), no components involved."""
-    return sum(
-        chi_c_total(fixed_pieces(spec, (g, h)))
-        for g in spec.group
-        for h in spec.group
+    """sum over ordered pairs (g, h) of chi_c(X^<g,h>), no components involved:
+    each element is read once as its sign mask (bit i set when it negates
+    coordinate i), and a pair of masks splits the coordinates into four sectors."""
+    full = (1 << spec.num_coords) - 1
+    masks = Counter(
+        sum(dot(chi, g) << i for i, chi in enumerate(spec.characters)) for g in spec.group
     )
+    total = 0
+    for a, m in masks.items():
+        for b, n in masks.items():
+            sectors = (full & ~(a | b), a & ~b, b & ~a, a & b)
+            total += m * n * sum(
+                _sector_chi(spec.kind, s.bit_count(), i == 0) for i, s in enumerate(sectors)
+            )
+    return total
 
 
 def check_burnside_total(spec: ActionSpec, report: SodReport | None = None) -> CheckResult:
@@ -251,8 +270,9 @@ def check_random_rank_sweep(count: int = 200, seed: int = 20240913) -> CheckResu
     failures = []
     for i in range(count):
         spec = random_effective_projective_spec(rng)
-        rank = check_projective_rank(spec)
-        burnside = check_burnside_total(spec)
+        report = assemble(spec)
+        rank = check_projective_rank(spec, report)
+        burnside = check_burnside_total(spec, report)
         if rank.status != PASS or burnside.status != PASS:
             failures.append((i, spec.to_dict(), rank.status, burnside.status))
     return CheckResult(

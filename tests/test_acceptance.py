@@ -71,7 +71,7 @@ def test_criterion_3_rank_oracles():
         spec = random_effective_projective_spec(rng, n_max=4, k_max=4)
         order = 1 << spec.rank
         closed_form = (spec.dim + 1) * order
-        report = assemble(spec)  # raises on any non-integral Burnside average
+        report = assemble(spec)  # raises if a rank disagrees with its coarse P^m
         double = burnside_double_sum(spec)
         if double % order:
             failures.append((i, "non-integral double sum"))

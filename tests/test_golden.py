@@ -1,7 +1,8 @@
 """Golden-output gate: the ``--json`` bytes of ``gram``, ``sod`` and
 ``mutate`` on the projective preset ladder, of ``analyze`` and
-``verify`` on projective, quadric and etale presets, and of ``sod`` on
-the quadric presets are pinned by SHA-256.
+``verify`` on projective, quadric and etale presets, of ``sod`` on the
+quadric presets and of the default ``verify`` battery are pinned by
+SHA-256.
 
 The mutate input is the identity sequence on the preset's Gram form,
 blocked by component rank; its script is the ``sod`` regrouping plan's
@@ -120,3 +121,10 @@ SPEC_GOLDEN = {
 def test_golden_spec_digests(capsys, command, name):
     text = _run(capsys, [command, *SPEC_PRESETS[name], "--json"])
     assert _digest(text) == SPEC_GOLDEN[f"{command} {name}"]
+
+
+BATTERY_GOLDEN = "2013b8a85b77611a99301fd1f7a8fdfdfe80e800ae1a14830d89ee622f5abf49"
+
+
+def test_golden_verify_battery_digest(capsys):
+    assert _digest(_run(capsys, ["verify", "--json"])) == BATTERY_GOLDEN

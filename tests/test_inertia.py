@@ -5,8 +5,9 @@ import pytest
 
 from mu2sod.groups import dot, f2_rank, make_spec
 from mu2sod.inertia import classify_piece, components, twist_step
-from mu2sod.loci import LocusPiece, chi_c_total, fixed_pieces
+from mu2sod.loci import LocusPiece, fixed_pieces
 from mu2sod.presets import etale, p2_example, pn_full, quadric
+from test_oracle_sweep import chi_c_total
 
 
 def burnside_by_pairs(spec, comp):

@@ -1,20 +1,21 @@
 """Seeded sweeps over random affine, projective and Fermat-quadric specs,
 non-effective ones included, and over the pn-full and quadric presets.
 
-``loci.fixed_pieces`` computes the sectors on both the production path
-(components) and the oracle path (the Burnside double sum), so it is
-checked here against a from-definition oracle that reads the signs
-straight from the spec document's action matrix.  The closed forms of
-``inertia`` (ranks, pair splits, coarse types, twist steps) are checked
-against the same oracle: a per-component Burnside average and
-enumerations of the residual sign patterns over the whole group.
+``loci.fixed_pieces`` (the sectors behind every component) and
+``verify.burnside_double_sum`` (which counts sign masks and builds no
+pieces) are checked here against a from-definition oracle that reads the
+signs straight from the spec document's action matrix and sums chi_c
+piece by piece.  The closed forms of ``inertia`` (ranks, pair splits,
+coarse types, twist steps) are checked against the same oracle: a
+per-component Burnside average and enumerations of the residual sign
+patterns over the whole group.
 """
 
 import random
 
 import pytest
 
-from mu2sod.groups import make_spec
+from mu2sod.groups import is_effective, make_spec
 from mu2sod.inertia import classify_piece, components, twist_step
 from mu2sod.loci import LocusPiece, fixed_pieces
 from mu2sod.presets import pn_full, quadric
@@ -72,6 +73,20 @@ def oracle_chi(piece):
         d = n - 2
         return d + 2 if d % 2 == 0 else d + 1
     return {"affine": 1, "point": 1, "projective": n, "point_pair": 2, "empty": 0}[piece.kind]
+
+
+def chi_c_total(pieces):
+    """chi_c of a disjoint union of pieces."""
+    return sum(oracle_chi(p) for p in pieces)
+
+
+def oracle_double_sum(spec):
+    """sum over ordered pairs (g, h) of chi_c(X^<g,h>), piece by piece."""
+    doc = spec.to_dict()
+    whole = range(spec.num_coords)
+    return sum(
+        chi_c_total(oracle_pieces(doc, (g, h), whole)) for g in spec.group for h in spec.group
+    )
 
 
 def burnside_average(doc, piece):
@@ -188,6 +203,29 @@ def test_total_rank_matches_burnside_double_sum():
             assert report.total_rank * len(spec.group) == burnside_double_sum(spec), spec.to_dict()
             ineffective += kind == "projective" and not report.effective
     assert ineffective  # the sweep reaches non-effective projective actions
+
+
+def test_burnside_double_sum_matches_definition_random():
+    rng = random.Random(20261021)
+    ineffective = 0
+    for kind in NUM_COORDS:
+        for k in range(6):
+            for _ in range(6):
+                spec = random_spec(rng, kind, k, max_dim=5)
+                assert burnside_double_sum(spec) == oracle_double_sum(spec), spec.to_dict()
+                ineffective += not is_effective(spec)
+    assert ineffective  # the sweep reaches non-effective actions
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_burnside_double_sum_matches_definition_presets(size):
+    for spec in (pn_full(size), quadric(size)):
+        assert burnside_double_sum(spec) == oracle_double_sum(spec), spec.to_dict()
+
+
+@pytest.mark.parametrize("spec", [pn_full(8), quadric(7)], ids=["pn-full-8", "quadric-7"])
+def test_burnside_double_sum_large_presets(spec):
+    assert burnside_double_sum(spec) == len(spec.group) * assemble(spec).total_rank
 
 
 def test_closed_forms_match_oracles_random():
