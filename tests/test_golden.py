@@ -2,7 +2,9 @@
 ``mutate`` on the projective preset ladder, of ``analyze`` and
 ``verify`` on projective, quadric and etale presets, of ``sod`` on the
 quadric presets and of the default ``verify`` battery are pinned by
-SHA-256.
+SHA-256, as are ``gram`` and ``sod`` on pn-full n=5 and ``gram`` on two
+seeded random projective specs (one of them needs character
+normalization).
 
 The mutate input is the identity sequence on the preset's Gram form,
 blocked by component rank; its script is the ``sod`` regrouping plan's
@@ -13,10 +15,14 @@ exercised.  A digest changes only when an output byte changes.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from mu2sod.cli import main
+from mu2sod.euler import EulerError, canonical_generators
+from mu2sod.groups import is_effective, make_spec
+from mu2sod.sod import assemble
 
 PRESETS = {
     "p2-example": ["--preset", "p2-example"],
@@ -128,3 +134,48 @@ BATTERY_GOLDEN = "2013b8a85b77611a99301fd1f7a8fdfdfe80e800ae1a14830d89ee622f5abf
 
 def test_golden_verify_battery_digest(capsys):
     assert _digest(_run(capsys, ["verify", "--json"])) == BATTERY_GOLDEN
+
+
+LARGE_GOLDEN = {
+    "gram pn-full-5": "e0182c9fc4a4d29fe8beca706a86a1cddd4a318a2871fe82b349beaca98bbd10",
+    "sod pn-full-5": "96c8834d0f2c4920ac6860eeacf89c0ee77f637064907acc1bc8091e86895cf0",
+}
+
+
+@pytest.mark.parametrize("command", ["gram", "sod"])
+def test_golden_pn_full_5_digests(capsys, command):
+    text = _run(capsys, [command, "--preset", "pn-full", "--n", "5", "--json"])
+    assert _digest(text) == LARGE_GOLDEN[f"{command} pn-full-5"]
+
+
+def seeded_projective_spec(seed: int, n: int, k: int, effective: bool):
+    """First draw from ``seed`` of a k-row action on P^n with the given
+    effectiveness whose pieces all have canonical generators."""
+    rng = random.Random(seed)
+    while True:
+        spec = make_spec("projective", n, [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(k)])
+        if is_effective(spec) != effective:
+            continue
+        try:
+            canonical_generators(spec, assemble(spec))
+        except EulerError:
+            continue
+        return spec
+
+
+# (seed, n, k, effective) -> (digest, whether the Gram needed normalization)
+SEEDED_GRAM_GOLDEN = {
+    (0, 5, 5, True): ("6a09cd93c4d665ffc062b6fc4d2a1473d0813d5897d8f7110241d470cf6a90d2", False),
+    (0, 4, 5, False): ("5efbf8914aaee08428ea5cec09ffe18377415495ec4bec96a4f429e384fb467f", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED_GRAM_GOLDEN))
+def test_golden_seeded_gram_digests(capsys, tmp_path, case):
+    digest, normalized = SEEDED_GRAM_GOLDEN[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(seeded_projective_spec(*case).to_dict()))
+    text = _run(capsys, ["gram", str(path), "--json"])
+    doc = json.loads(text)
+    assert doc["normalized"] is normalized and doc["triangular"] is True
+    assert _digest(text) == digest
