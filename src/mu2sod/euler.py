@@ -17,14 +17,30 @@ the G-invariant Euler pairing:
   coordinates.
 * ``euler_pairing``: resolve the first argument by ``koszul``, restrict
   each line-bundle term to the second argument's support, and read off
-  the multiplicity of the trivial character.
+  the multiplicity of the trivial character.  It is the per-pair
+  reference for the matrix routines below.
 
 Characters are self-inverse, so all character bookkeeping is XOR on
 their int encodings.
+
+Cost model.  ``gram`` expands each object's Koszul resolution once, into
+a profile: its terms summed per (twist, character), at most 2^c keys on
+c coordinates and fewer when coordinates share a character.  It then
+inverts the targets once per matrix: for every twist in some profile and
+every target, the nonzero entries of one cohomology vector (at most 2^k
+on mu_2^k) are filed under the profile key they pair with.  A row is a
+sparse sum over its profile's keys, so the matrix costs one index plus
+work proportional to the nonzero (profile term, index entry) matches;
+there is no per-pair expansion and no cache lookup per (pair, term).
+Twisting an object by a character only XORs its profile keys, so
+``character_normalization`` tests every twist of a block against one
+index of the objects already placed, and extends that index by each
+accepted block.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
@@ -71,6 +87,16 @@ def _char_values(spec: ActionSpec, support) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _parity_classes(chars: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(size, character value, count) over the subsets of the coordinates:
+    the odd slots of an exponent vector and the character they carry."""
+    subsets = [(0, 0)]
+    for cv in chars:
+        subsets += [(size + 1, value ^ cv) for size, value in subsets]
+    return tuple((size, value, count) for (size, value), count in Counter(subsets).items())
+
+
+@lru_cache(maxsize=None)
 def _cohomology(chars: tuple[int, ...], rank: int, e: int) -> tuple[int, ...]:
     """Virtual character vector of H^*(P^(t-1), O(e)), indexed by
     character value; ``chars`` are the coordinate character values."""
@@ -81,20 +107,11 @@ def _cohomology(chars: tuple[int, ...], rank: int, e: int) -> tuple[int, ...]:
     negative = e < 0
     degree = -e if negative else e
     sign = (-1) ** (t - 1) if negative else 1
-    for mask in range(1 << t):
-        odd = [i for i in range(t) if (mask >> i) & 1]
-        s = len(odd)
-        if negative:
-            # exponents are >= 1: odd slots start at 1, even slots at 2
-            doubled = degree - s - 2 * (t - s)
-        else:
-            doubled = degree - s
-        if doubled < 0 or doubled % 2:
-            continue
-        value = 0
-        for i in odd:
-            value ^= chars[i]
-        out[value] += sign * comb(doubled // 2 + t - 1, t - 1)
+    for size, value, count in _parity_classes(chars):
+        # exponents are >= 1 when negative: odd slots start at 1, even slots at 2
+        doubled = degree - size - (2 * (t - size) if negative else 0)
+        if doubled >= 0 and doubled % 2 == 0:
+            out[value] += sign * count * comb(doubled // 2 + t - 1, t - 1)
     return tuple(out)
 
 
@@ -139,23 +156,57 @@ def euler_pairing(spec: ActionSpec, first: KObject, second: KObject) -> int:
     return total
 
 
+def _profile(spec: ActionSpec, obj: KObject) -> dict[tuple[int, int], int]:
+    """``obj``'s Koszul terms summed per (twist, character value).  Terms
+    under one key come from subsets of one size, so they share a sign and
+    no sum vanishes.  Twisting ``obj`` by psi XORs psi into every key."""
+    summed: dict[tuple[int, int], int] = {}
+    for twist, value, sign in koszul(spec, obj):
+        summed[twist, value] = summed.get((twist, value), 0) + sign
+    return summed
+
+
+@lru_cache(maxsize=None)
+def _cohomology_entries(chars: tuple[int, ...], rank: int, e: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (character value, multiplicity) pairs of ``_cohomology``."""
+    return tuple((x, m) for x, m in enumerate(_cohomology(chars, rank, e)) if m)
+
+
+# profile key (twist, character value) -> [(column, multiplicity), ...]
+_Index = dict[tuple[int, int], list[tuple[int, int]]]
+
+
+def _index_targets(
+    spec: ActionSpec, index: _Index, twists: set[int], targets: list[KObject], first_column: int
+) -> None:
+    """File target j = first_column, ... under every profile key it pairs
+    with: H^*(O(f.twist - t)) has multiplicity m at x, so a profile term
+    (t, f.char ^ x) with sign s adds s * m to column j."""
+    for j, f in enumerate(targets, first_column):
+        chars = _char_values(spec, f.support)
+        for t in twists:
+            for x, m in _cohomology_entries(chars, spec.rank, f.twist - t):
+                index.setdefault((t, f.char ^ x), []).append((j, m))
+
+
+def _pair_row(profile: dict[tuple[int, int], int], index: _Index, psi: int, width: int) -> list[int]:
+    """Pairings of the psi-twist of ``profile``'s object with the indexed
+    targets, one per column."""
+    row = [0] * width
+    for (t, x), s in profile.items():
+        for j, m in index.get((t, x ^ psi), ()):
+            row[j] += s * m
+    return row
+
+
 def gram(spec: ActionSpec, objects: list[KObject]) -> list[list[int]]:
-    """Matrix of ``euler_pairing`` over all ordered pairs, expanding each
-    object's Koszul resolution once rather than once per pair."""
+    """Matrix of ``euler_pairing`` over all ordered pairs: one profile per
+    object, one target index for the matrix."""
     _check_ambient(spec)
-    rank = spec.rank
-    targets = [(_char_values(spec, f.support), f.twist, f.char) for f in objects]
-    rows = []
-    for e in objects:
-        terms = koszul(spec, e)
-        rows.append([
-            sum(
-                sign * _cohomology(chars, rank, twist - t)[char ^ value]
-                for t, value, sign in terms
-            )
-            for chars, twist, char in targets
-        ])
-    return rows
+    profiles = [_profile(spec, e) for e in objects]
+    index: _Index = {}
+    _index_targets(spec, index, {t for p in profiles for t, _ in p}, objects, 0)
+    return [_pair_row(p, index, 0, len(objects)) for p in profiles]
 
 
 def is_unipotent_upper(matrix: list[list[int]]) -> bool:
@@ -212,26 +263,21 @@ def character_normalization(
     killing all pairings against the already-placed objects.  Returns
     None when some block admits no such character.
     """
-    placed: list[KObject] = []
+    profiles = [_profile(spec, obj) for obj in objects]
+    twists = {t for p in profiles for t, _ in p}
+    index: _Index = {}
     chosen: list[int] = []
-    start = 0
+    placed = 0
     for size in sizes:
-        block = objects[start : start + size]
-        start += size
-        found = None
+        block = range(placed, placed + size)
         for psi in spec.group:
-            twisted = [obj.twisted(psi) for obj in block]
-            if all(
-                euler_pairing(spec, t, earlier) == 0
-                for t in twisted
-                for earlier in placed
-            ):
-                found = psi
-                placed.extend(twisted)
+            if not any(any(_pair_row(profiles[i], index, psi, placed)) for i in block):
                 break
-        if found is None:
+        else:
             return None
-        chosen.append(found)
+        chosen.append(psi)
+        _index_targets(spec, index, twists, [objects[i].twisted(psi) for i in block], placed)
+        placed += size
     return chosen
 
 

@@ -190,4 +190,14 @@ def projective_kernel(spec: ActionSpec) -> list[int]:
 
 
 def is_effective(spec: ActionSpec) -> bool:
-    return projective_kernel(spec) == [0]
+    """Whether ``projective_kernel`` is trivial, read off the characters.
+
+    g is in the kernel iff it pairs to 0 with every coordinate character
+    (affine) or with every chi_i + chi_0 (projective and quadric, where
+    the global sign is trivial), so the kernel is trivial iff those
+    characters span all k dimensions.
+    """
+    chars = spec.characters
+    if spec.kind != "affine":
+        chars = tuple(chi ^ chars[0] for chi in chars)
+    return f2_rank(chars) == spec.rank

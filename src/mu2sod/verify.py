@@ -302,8 +302,10 @@ def check_etale_sweep(n_max: int = 6) -> CheckResult:
 def run_battery() -> list[CheckResult]:
     """The default verification battery on bounded presets."""
     results = [check_etale_sweep()]
-    results.append(check_projective_rank(p2_example()))
-    results.append(check_burnside_total(p2_example()))
+    p2 = p2_example()
+    p2_report = assemble(p2)
+    results.append(check_projective_rank(p2, p2_report))
+    results.append(check_burnside_total(p2, p2_report))
     for n in range(1, 5):
         results.append(check_projective_rank(pn_full(n)))
     for q_dim in range(1, 6):

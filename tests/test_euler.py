@@ -16,7 +16,7 @@ from mu2sod.euler import (
     is_unipotent_upper,
     koszul,
 )
-from mu2sod.groups import make_spec
+from mu2sod.groups import is_effective, make_spec
 from mu2sod.presets import etale, p2_example, pn_full
 from mu2sod.sod import assemble
 
@@ -386,3 +386,111 @@ def test_gram_matches_pairwise_on_random_objects():
             for _ in range(12)
         ]
         assert gram(spec, objects) == pairwise_gram(spec, objects)
+
+
+def _spec_with_repeats(rng, n, k, kind="projective"):
+    """Random action whose coordinates 0 and 1 carry the same character,
+    so the Koszul terms of a support missing both merge in pairs."""
+    c = n + (2 if kind == "fermat_quadric" else 1)
+    rows = [[rng.randint(0, 1) for _ in range(c)] for _ in range(k)]
+    for row in rows:
+        row[1] = row[0]
+    return make_spec(kind, n, rows)
+
+
+def _random_objects(rng, spec, count):
+    c = spec.num_coords
+    objects = [KObject((i,), 0, rng.randrange(1 << spec.rank)) for i in range(c)]
+    while len(objects) < count:
+        objects.append(
+            KObject(
+                tuple(rng.sample(range(c), rng.randint(1, c))),
+                rng.randint(-8, 8),
+                rng.randrange(1 << spec.rank),
+            )
+        )
+    return objects
+
+
+def _branches(spec, objects):
+    """Which cohomology branches the pairings reach: sections (e >= 0), the
+    vanishing window 1 - t <= e <= -1 and Serre duality (e <= -t)."""
+    seen = set()
+    for first in objects:
+        for twist, _, _ in koszul(spec, first):
+            for second in objects:
+                e, t = second.twist - twist, len(second.support)
+                seen.add("sections" if e >= 0 else "window" if e > -t else "serre")
+    return seen
+
+
+def _merges(spec, obj) -> bool:
+    """Whether two of ``obj``'s Koszul terms share (twist, character).
+    Such terms share the subset size, hence the sign, so they add up
+    and never cancel."""
+    keys = [(twist, value) for twist, value, _ in koszul(spec, obj)]
+    return len(set(keys)) < len(keys)
+
+
+def test_gram_matches_pairwise_where_the_index_is_busiest():
+    from mu2sod.presets import quadric
+
+    rng = random.Random(61)
+    specs = [
+        _spec_with_repeats(rng, 5, 5),
+        _spec_with_repeats(rng, 6, 6),
+        _spec_with_repeats(rng, 4, 5, "fermat_quadric"),
+        quadric(4),
+    ]
+    for spec in specs:
+        objects = _random_objects(rng, spec, 28)
+        assert _branches(spec, objects) == {"sections", "window", "serre"}
+        matrix = gram(spec, objects)
+        assert matrix == pairwise_gram(spec, objects)
+        assert any(x == 0 for row in matrix for x in row) and any(x for row in matrix for x in row)
+        if spec.characters[0] == spec.characters[1]:
+            assert any(_merges(spec, obj) for obj in objects)
+
+
+def greedy_normalization_reference(spec, objects, sizes):
+    """The greedy block search, one ``euler_pairing`` per pair."""
+    placed, chosen, start = [], [], 0
+    for size in sizes:
+        block = objects[start : start + size]
+        start += size
+        for psi in spec.group:
+            twisted = [obj.twisted(psi) for obj in block]
+            if all(euler_pairing(spec, t, earlier) == 0 for t in twisted for earlier in placed):
+                break
+        else:
+            return None
+        chosen.append(psi)
+        placed.extend(twisted)
+    return chosen
+
+
+def test_character_normalization_matches_pairwise_greedy():
+    # non-effective classified specs, where trivial characters fail
+    rng = random.Random(67)
+    cases = [
+        p2_example(),  # trivial characters work
+        make_spec("projective", 3, [[1, 1, 1, 1]]),  # no character works
+    ]
+    while len(cases) < 16:
+        n = rng.randint(1, 3)
+        k = rng.randint(1, n + 1)
+        spec = make_spec("projective", n, [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(k)])
+        if is_effective(spec):
+            continue
+        try:
+            canonical_generators(spec, assemble(spec))
+        except EulerError:
+            continue
+        cases.append(spec)
+    outcomes = set()
+    for spec in cases:
+        objects, sizes = canonical_generators(spec, assemble(spec))
+        expected = greedy_normalization_reference(spec, objects, sizes)
+        assert character_normalization(spec, objects, sizes) == expected, spec.to_dict()
+        outcomes.add("none" if expected is None else "trivial" if not any(expected) else "twisted")
+    assert outcomes == {"none", "trivial", "twisted"}

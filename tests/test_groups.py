@@ -156,6 +156,24 @@ def test_kernel_is_a_subgroup():
             assert g ^ h in members
 
 
+def test_is_effective_matches_kernel_on_all_kinds():
+    # the closed form (characters span all k dimensions) against the
+    # element-by-element kernel, including ranks above the coordinate count
+    rng = random.Random(11)
+    offsets = {"affine": 0, "projective": 1, "fermat_quadric": 2}
+    seen = set()
+    for _ in range(400):
+        kind = rng.choice(sorted(offsets))
+        dim = rng.randint(1 if kind != "affine" else 0, 4)
+        c = dim + offsets[kind]
+        k = rng.randint(0, c if kind == "affine" else c + 1)
+        spec = make_spec(kind, dim, [[rng.randint(0, 1) for _ in range(c)] for _ in range(k)])
+        effective = projective_kernel(spec) == [0]
+        assert is_effective(spec) == effective, spec.to_dict()
+        seen.add((kind, effective))
+    assert len(seen) == 6
+
+
 def test_elements_order():
     # the group enumerates by integer value; bit i is generator i
     spec = make_spec("projective", 2, [[1, 0, 0], [0, 1, 0]])
