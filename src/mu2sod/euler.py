@@ -264,7 +264,7 @@ def character_normalization(
     None when some block admits no such character.
     """
     profiles = [_profile(spec, obj) for obj in objects]
-    twists = {t for p in profiles for t, _ in p}
+    profile_twists = {t for p in profiles for t, _ in p}
     index: _Index = {}
     chosen: list[int] = []
     placed = 0
@@ -276,7 +276,7 @@ def character_normalization(
         else:
             return None
         chosen.append(psi)
-        _index_targets(spec, index, twists, [objects[i].twisted(psi) for i in block], placed)
+        _index_targets(spec, index, profile_twists, [objects[i].twisted(psi) for i in block], placed)
         placed += size
     return chosen
 
@@ -310,39 +310,19 @@ def gram_report(spec: ActionSpec, report: SodReport) -> GramResult:
     if the default trivial choice is not triangular."""
     objects, sizes = canonical_generators(spec, report)
     matrix = gram(spec, objects)
-    if is_unipotent_upper(matrix):
-        return GramResult(
-            tuple(objects),
-            sizes,
-            tuple(tuple(r) for r in matrix),
-            (0,) * len(sizes),
-            normalized=False,
-            triangular=True,
-            rank=spec.rank,
-        )
-    twists = character_normalization(spec, objects, sizes)
-    if twists is None:
-        return GramResult(
-            tuple(objects),
-            sizes,
-            tuple(tuple(r) for r in matrix),
-            (0,) * len(sizes),
-            normalized=False,
-            triangular=False,
-            rank=spec.rank,
-        )
-    twisted_objects: list[KObject] = []
-    start = 0
-    for size, psi in zip(sizes, twists):
-        twisted_objects.extend(obj.twisted(psi) for obj in objects[start : start + size])
-        start += size
-    matrix = gram(spec, twisted_objects)
+    triangular = is_unipotent_upper(matrix)
+    twists = None if triangular else character_normalization(spec, objects, sizes)
+    if twists is not None:
+        per_object = [psi for psi, size in zip(twists, sizes) for _ in range(size)]
+        objects = [obj.twisted(psi) for obj, psi in zip(objects, per_object)]
+        matrix = gram(spec, objects)
+        triangular = is_unipotent_upper(matrix)
     return GramResult(
-        tuple(twisted_objects),
+        tuple(objects),
         sizes,
         tuple(tuple(r) for r in matrix),
-        tuple(twists),
-        normalized=True,
-        triangular=is_unipotent_upper(matrix),
+        (0,) * len(sizes) if twists is None else tuple(twists),
+        normalized=twists is not None,
+        triangular=triangular,
         rank=spec.rank,
     )
