@@ -494,3 +494,14 @@ def test_character_normalization_matches_pairwise_greedy():
         assert character_normalization(spec, objects, sizes) == expected, spec.to_dict()
         outcomes.add("none" if expected is None else "trivial" if not any(expected) else "twisted")
     assert outcomes == {"none", "trivial", "twisted"}
+    # arbitrary objects in blocks of one to three, whose rows against the
+    # placed objects mix signs, so a row can sum to 0 without vanishing
+    for spec in [p2_example(), pn_full(2), _spec_with_repeats(rng, 3, 3)]:
+        for _ in range(8):
+            objects = _random_objects(rng, spec, spec.num_coords + 6)
+            sizes, left = [], len(objects)
+            while left:
+                sizes.append(min(left, rng.randint(1, 3)))
+                left -= sizes[-1]
+            expected = greedy_normalization_reference(spec, objects, tuple(sizes))
+            assert character_normalization(spec, objects, tuple(sizes)) == expected
