@@ -39,8 +39,59 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """Exactly the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``."""
+    out: list[str] = []
+    _write(doc, out, "\n")
+    return "".join(out)
+
+
+def _key(key) -> str:
+    """A dict key as ``json.dumps`` turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(value, out: list[str], newline: str) -> None:
+    """Append ``value`` to ``out``; ``newline`` is the line break and
+    indentation of its own nesting level."""
+    if isinstance(value, str):
+        out.append(_ENCODE_STR(value))
+    elif value is None or value is True or value is False:
+        out.append(_LITERALS[value])
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, opener = newline + "  ", "{"
+        for key, item in sorted(value.items()):  # raw keys, so 2 sorts before 10
+            out.append(f"{opener}{inner}{_ENCODE_STR(_key(key))}: ")
+            _write(item, out, inner)
+            opener = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in value):  # bools keep the general path
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+            return
+        opener = "["
+        for item in value:
+            out.append(opener + inner)
+            _write(item, out, inner)
+            opener = ","
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def _load_spec(args) -> ActionSpec:

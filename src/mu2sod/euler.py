@@ -35,7 +35,8 @@ there is no per-pair expansion and no cache lookup per (pair, term).
 Twisting an object by a character only XORs its profile keys, so
 ``character_normalization`` tests every twist of a block against one
 index of the objects already placed, and extends that index by each
-accepted block.
+accepted block.  ``gram_report`` builds the profiles once and reads a
+normalized Gram off that index, so it expands each object once.
 """
 
 from __future__ import annotations
@@ -156,11 +157,15 @@ def euler_pairing(spec: ActionSpec, first: KObject, second: KObject) -> int:
     return total
 
 
-def _profile(spec: ActionSpec, obj: KObject) -> dict[tuple[int, int], int]:
+# (twist, character value) -> summed sign of the Koszul terms there
+_Profile = dict[tuple[int, int], int]
+
+
+def _profile(spec: ActionSpec, obj: KObject) -> _Profile:
     """``obj``'s Koszul terms summed per (twist, character value).  Terms
     under one key come from subsets of one size, so they share a sign and
     no sum vanishes.  Twisting ``obj`` by psi XORs psi into every key."""
-    summed: dict[tuple[int, int], int] = {}
+    summed: _Profile = {}
     for twist, value, sign in koszul(spec, obj):
         summed[twist, value] = summed.get((twist, value), 0) + sign
     return summed
@@ -189,7 +194,7 @@ def _index_targets(
                 index.setdefault((t, f.char ^ x), []).append((j, m))
 
 
-def _pair_row(profile: dict[tuple[int, int], int], index: _Index, psi: int, width: int) -> list[int]:
+def _pair_row(profile: _Profile, index: _Index, psi: int, width: int) -> list[int]:
     """Pairings of the psi-twist of ``profile``'s object with the indexed
     targets, one per column."""
     row = [0] * width
@@ -199,11 +204,15 @@ def _pair_row(profile: dict[tuple[int, int], int], index: _Index, psi: int, widt
     return row
 
 
-def gram(spec: ActionSpec, objects: list[KObject]) -> list[list[int]]:
+def gram(
+    spec: ActionSpec, objects: list[KObject], profiles: list[_Profile] | None = None
+) -> list[list[int]]:
     """Matrix of ``euler_pairing`` over all ordered pairs: one profile per
-    object, one target index for the matrix."""
+    object, one target index for the matrix.  A caller that already has
+    the objects' profiles passes them."""
     _check_ambient(spec)
-    profiles = [_profile(spec, e) for e in objects]
+    if profiles is None:
+        profiles = [_profile(spec, e) for e in objects]
     index: _Index = {}
     _index_targets(spec, index, {t for p in profiles for t, _ in p}, objects, 0)
     return [_pair_row(p, index, 0, len(objects)) for p in profiles]
@@ -252,7 +261,11 @@ def canonical_generators(
 
 
 def character_normalization(
-    spec: ActionSpec, objects: list[KObject], sizes: tuple[int, ...]
+    spec: ActionSpec,
+    objects: list[KObject],
+    sizes: tuple[int, ...],
+    profiles: list[_Profile] | None = None,
+    index: _Index | None = None,
 ) -> list[int] | None:
     """Greedy search for per-block character twists making the Gram
     unipotent upper triangular.
@@ -262,10 +275,17 @@ def character_normalization(
     left to right and each keeps the first character (trivial first)
     killing all pairings against the already-placed objects.  Returns
     None when some block admits no such character.
+
+    A caller that already has the objects' profiles passes them.  Each
+    placed block is filed, twisted, in ``index``; a caller that passes an
+    empty index gets back, on success, the targets of the whole twisted
+    Gram, whose row i is ``_pair_row(profiles[i], index, psi_i, N)``.
     """
-    profiles = [_profile(spec, obj) for obj in objects]
+    if profiles is None:
+        profiles = [_profile(spec, obj) for obj in objects]
     profile_twists = {t for p in profiles for t, _ in p}
-    index: _Index = {}
+    if index is None:
+        index = {}
     chosen: list[int] = []
     placed = 0
     for size in sizes:
@@ -309,13 +329,15 @@ def gram_report(spec: ActionSpec, report: SodReport) -> GramResult:
     """Canonical-generator Gram of a report, auto-normalizing characters
     if the default trivial choice is not triangular."""
     objects, sizes = canonical_generators(spec, report)
-    matrix = gram(spec, objects)
+    profiles = [_profile(spec, obj) for obj in objects]
+    matrix = gram(spec, objects, profiles)
     triangular = is_unipotent_upper(matrix)
-    twists = None if triangular else character_normalization(spec, objects, sizes)
+    index: _Index = {}
+    twists = None if triangular else character_normalization(spec, objects, sizes, profiles, index)
     if twists is not None:
         per_object = [psi for psi, size in zip(twists, sizes) for _ in range(size)]
         objects = [obj.twisted(psi) for obj, psi in zip(objects, per_object)]
-        matrix = gram(spec, objects)
+        matrix = [_pair_row(p, index, psi, len(objects)) for p, psi in zip(profiles, per_object)]
         triangular = is_unipotent_upper(matrix)
     return GramResult(
         tuple(objects),

@@ -1,13 +1,15 @@
 import json
+import random
 
 import pytest
 
-from mu2sod import groups, verify
+from mu2sod import cli, groups, verify
 from mu2sod.cli import main
 from mu2sod.euler import gram_report
 from mu2sod.mutations import identity_sequence
 from mu2sod.presets import p2_example
 from mu2sod.sod import assemble, report_to_dict
+from test_golden import PRESETS, golden_outputs
 
 P2_DOC = {
     "space": {"kind": "projective", "dim": 2},
@@ -287,3 +289,131 @@ def test_space_dim_limit(tmp_path, capsys):
     }))
     assert main(["analyze", str(path)]) == 0
     assert main(["analyze", "--preset", "etale", "--n", str(groups.MAX_DIM), "--k", "2"]) == 0
+
+
+def reference_dump(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+LADDER = {
+    **PRESETS,
+    "pn-full-5": ["--preset", "pn-full", "--n", "5"],
+    "quadric-1": ["--preset", "quadric", "--q-dim", "1"],
+    "quadric-2": ["--preset", "quadric", "--q-dim", "2"],
+    "quadric-3": ["--preset", "quadric", "--q-dim", "3"],
+    "quadric-4": ["--preset", "quadric", "--q-dim", "4"],
+    "etale-4-3": ["--preset", "etale", "--n", "4", "--k", "3"],
+}
+
+
+def test_dump_matches_json_dumps_on_every_command(monkeypatch, capsys, tmp_path):
+    documents = []
+    writer = cli._dump
+
+    def recording_dump(doc):
+        documents.append(doc)
+        return writer(doc)
+
+    monkeypatch.setattr(cli, "_dump", recording_dump)
+    for name, args in LADDER.items():
+        for command in ("analyze", "sod", "verify"):
+            assert main([command, *args, "--json"]) == 0
+        if name.startswith(("p2", "pn")):
+            assert main(["gram", *args, "--json"]) == 0
+    assert main(["verify", "--json"]) == 0
+    capsys.readouterr()
+    for name in PRESETS:  # gram, sod and mutate with the golden script
+        golden_outputs(capsys, tmp_path, name)
+    assert len(documents) == 3 * len(LADDER) + 5 + 1 + 3 * len(PRESETS)
+    for doc in documents:
+        assert writer(doc) == reference_dump(doc)
+
+
+# non-ASCII, astral, control characters, quotes and backslashes
+AWKWARD_TEXT = [
+    "",
+    "plain",
+    "é ü ß",
+    "漢字",
+    "\U0001f600",
+    "tab\tnew\nline\x00\x1f",
+    'quote " here',
+    "back\\slash",
+    "\u2028",
+]
+
+
+def random_leaf(rng):
+    return rng.choice(
+        [
+            lambda: rng.choice(AWKWARD_TEXT) + str(rng.randint(0, 9)),
+            lambda: rng.randint(-(2**70), 2**70),  # wider than 64 bits
+            lambda: rng.randint(-20, 20),
+            lambda: rng.choice([True, False, None]),
+            lambda: rng.uniform(-1e6, 1e6),
+            lambda: rng.choice([0.0, -0.0, 1e-300, 1.5e300]),
+        ]
+    )()
+
+
+def random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return random_leaf(rng)
+    width = rng.randint(0, 5)  # 0 gives nested empty dicts and lists
+    shape = rng.randrange(6)
+    if shape == 0:
+        return {rng.choice(AWKWARD_TEXT) + str(i): random_tree(rng, depth - 1) for i in range(width)}
+    if shape == 1:  # int keys, which sort as ints: 2 before 10
+        keys = rng.sample([2, 10, -3, 0, 1, 33, 2**65], width)
+        return {key: random_tree(rng, depth - 1) for key in keys}
+    if shape == 2:  # bools and ints mixed, or all ints
+        return [rng.choice([True, False, rng.randint(-5, 5)]) for _ in range(width)]
+    if shape == 3:
+        return [rng.randint(-(2**66), 2**66) for _ in range(width)]
+    if shape == 4:
+        return tuple(random_tree(rng, depth - 1) for _ in range(width))
+    return [random_tree(rng, depth - 1) for _ in range(width)]
+
+
+def test_dump_matches_json_dumps_on_random_trees():
+    rng = random.Random(83)
+    for _ in range(400):
+        doc = random_tree(rng, rng.randint(0, 5))
+        assert cli._dump(doc) == reference_dump(doc)
+    fixed = [
+        {"a": {}, "b": [], "c": [{}, [[]], ({},)]},
+        {10: "ten", 2: "two", -1: [True, 1, False, 0]},
+        {True: 1, 2: 2, 1.5: 3, 10: [2**64, -(2**64)]},
+        {'k"\\\x07é': ['v"\\\x07é', None]},
+        [[True, 1], [1, True], (1, 2, 3), ()],
+    ]
+    for doc in fixed:
+        assert cli._dump(doc) == reference_dump(doc)
+    # mixed str and int keys fail as json.dumps does
+    with pytest.raises(TypeError):
+        cli._dump({"a": 1, 2: 3})
+    with pytest.raises(TypeError):
+        cli._dump({(1, 2): 3})
+
+
+def test_dump_matches_json_dumps_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    leaves = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+    trees = st.recursive(
+        leaves,
+        lambda children: st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+        | st.dictionaries(st.integers(), children),
+        max_leaves=10,
+    )
+
+    @hypothesis.seed(83)
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(trees)
+    def check(doc):
+        assert cli._dump(doc) == reference_dump(doc)
+
+    check()

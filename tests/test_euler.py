@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from mu2sod import euler
 from mu2sod.euler import (
     EulerError,
     KObject,
@@ -19,6 +20,7 @@ from mu2sod.euler import (
 from mu2sod.groups import is_effective, make_spec
 from mu2sod.presets import etale, p2_example, pn_full
 from mu2sod.sod import assemble
+from test_golden import seeded_projective_spec
 
 TRIV2 = 0
 
@@ -505,3 +507,26 @@ def test_character_normalization_matches_pairwise_greedy():
                 left -= sizes[-1]
             expected = greedy_normalization_reference(spec, objects, tuple(sizes))
             assert character_normalization(spec, objects, tuple(sizes)) == expected
+
+
+def test_gram_report_expands_each_object_once(monkeypatch):
+    # the seeded golden spec whose Gram needs character normalization
+    spec = seeded_projective_spec(0, 4, 5, False)
+    report = assemble(spec)
+    calls = []
+
+    def counting_koszul(spec, obj):
+        calls.append(obj)
+        return koszul(spec, obj)
+
+    monkeypatch.setattr(euler, "koszul", counting_koszul)
+    result = gram_report(spec, report)
+    assert result.normalized and result.triangular
+    assert len(result.matrix) == 160
+    assert len(calls) == 160
+    monkeypatch.undo()
+    # the matrix read off the normalization index is the Gram of the
+    # twisted objects, computed afresh
+    assert [list(r) for r in result.matrix] == gram(spec, list(result.objects))
+    objects, sizes = canonical_generators(spec, report)
+    assert list(result.twists) == character_normalization(spec, objects, sizes)

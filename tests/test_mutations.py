@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -372,3 +373,109 @@ def test_parse_script_rejects_bad_moves():
     ]:
         with pytest.raises(ValueError):
             parse_script(json.dumps([move]))
+
+
+def dense_pairing_reference(form, vectors):
+    """Reference: V B V^T as V B, then one dense dot product per entry."""
+    vb = []
+    for v in vectors:
+        row = [0] * len(form)
+        for x, form_row in zip(v, form):
+            if x:
+                row = [r + x * b for r, b in zip(row, form_row)]
+        vb.append(row)
+    return [[sum(map(mul, w, v)) for v in vectors] for w in vb]
+
+
+def bareiss_reference(vectors):
+    """Reference: Bareiss elimination rebuilding every row below the pivot."""
+    m = [list(row) for row in vectors]
+    n = len(m)
+    sign, previous = 1, 1
+    for col in range(n - 1):
+        if not m[col][col]:
+            pivot = next((r for r in range(col + 1, n) if m[r][col]), None)
+            if pivot is None:
+                return 0
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        top = m[col]
+        p = top[col]
+        for r in range(col + 1, n):
+            row, factor = m[r], m[r][col]
+            m[r] = [0] * (col + 1) + [
+                (p * x - factor * y) // previous for x, y in zip(row[col + 1 :], top[col + 1 :])
+            ]
+        previous = p
+    return sign * m[-1][-1] if n else 1
+
+
+def random_matrix(rng, n, density=1.0, low=-4, high=4):
+    return tuple(
+        tuple(rng.randint(low, high) if rng.random() < density else 0 for _ in range(n))
+        for _ in range(n)
+    )
+
+
+def assert_checks_match_references(form, vectors):
+    seq = ExceptionalSequence(form, vectors, (len(form),))
+    assert gram_matrix(seq) == dense_pairing_reference(form, vectors)
+    det = determinant(vectors)
+    assert det == bareiss_reference(vectors)
+    return det
+
+
+def test_final_checks_match_dense_references_on_random_matrices():
+    rng = random.Random(73)
+    dets = set()
+    for trial in range(240):
+        n = rng.randint(1, 12)
+        density = (1.0, 0.3, 0.12)[trial % 3]  # dense, sparse, very sparse
+        form = random_matrix(rng, n, density)
+        vectors = random_matrix(rng, n, density)
+        dets.add(assert_checks_match_references(form, vectors))
+    assert 0 in dets and len(dets) > 20
+
+
+def test_determinant_matches_reference_on_singular_and_small_determinants():
+    rng = random.Random(79)
+    seen = set()
+    for trial in range(200):
+        n = rng.randint(2, 10)
+        # a random unimodular matrix: elementary row operations on I
+        vectors = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            vectors[i] = [a + c * b for a, b in zip(vectors[i], vectors[j])]
+        kind = trial % 4
+        if kind == 1:
+            i = rng.randrange(n)
+            vectors[i] = [2 * x for x in vectors[i]]  # det +-2
+        elif kind == 2:
+            vectors[-1] = [a - b for a, b in zip(vectors[0], vectors[1])]  # singular: dependent row
+        elif kind == 3:
+            vectors[0] = [0] + vectors[0][1:]  # a zero leading pivot forces a row swap
+        det = determinant(vectors)
+        assert det == bareiss_reference(vectors) == fraction_determinant(vectors), vectors
+        seen.add(det)
+    assert {-2, 0, 2} <= seen and seen & {-1, 1}
+    # one whose zero pivot forces a row swap and which is singular all the same
+    swap_singular = ((0, 1, 2), (1, 0, 1), (2, 0, 2))
+    assert determinant(swap_singular) == bareiss_reference(swap_singular) == 0
+
+
+def test_final_checks_match_dense_references_on_plan_final_sequences():
+    from mu2sod.presets import pn_full
+
+    for n in (3, 4, 5):
+        spec = pn_full(n)
+        report = assemble(spec)
+        result = gram_report(spec, report)
+        plan = msodc_plan(report, [list(r) for r in result.matrix])
+        seq = identity_sequence(result.matrix, tuple(c.rank for c in report.components))
+        final, _ = apply_script(
+            seq, [{"block": m.block, "direction": m.direction} for m in plan.moves]
+        )
+        assert final.vectors != seq.vectors
+        assert assert_checks_match_references(final.form, final.vectors) in (1, -1)
