@@ -2,9 +2,9 @@
 ``mutate`` on the projective preset ladder, of ``analyze`` and
 ``verify`` on projective, quadric and etale presets, of ``sod`` on the
 quadric presets and of the default ``verify`` battery are pinned by
-SHA-256, as are ``gram`` and ``sod`` on pn-full n=5 and ``gram`` on two
-seeded random projective specs (one of them needs character
-normalization).
+SHA-256, as are ``gram`` and ``sod`` on pn-full n=5, ``sod`` on pn-full
+n=6 and ``gram`` on two seeded random projective specs (one of them
+needs character normalization).
 
 The mutate input is the identity sequence on the preset's Gram form,
 blocked by component rank; its script is the ``sod`` regrouping plan's
@@ -146,6 +146,13 @@ LARGE_GOLDEN = {
 def test_golden_pn_full_5_digests(capsys, command):
     text = _run(capsys, [command, "--preset", "pn-full", "--n", "5", "--json"])
     assert _digest(text) == LARGE_GOLDEN[f"{command} pn-full-5"]
+
+
+def test_golden_sod_pn_full_6_digest(capsys):
+    # N=448: 3,080 plan moves replayed on the Gram
+    text = _run(capsys, ["sod", "--preset", "pn-full", "--n", "6", "--json"])
+    assert len(json.loads(text)["msodc"]["moves"]) == 3080
+    assert _digest(text) == "1d14d6c5ec9f496463b46be153df3e72245370d2512e840d819ccfa0de5e14f1"
 
 
 def seeded_projective_spec(seed: int, n: int, k: int, effective: bool):

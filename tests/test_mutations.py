@@ -301,6 +301,7 @@ def random_partition(rng, n):
 
 def test_carried_gram_matches_recomputed_after_every_move():
     rng = random.Random(67)
+    seen_flags = set()
     for _ in range(60):
         n = rng.randint(2, 9)
         blocks = random_partition(rng, n)
@@ -310,15 +311,23 @@ def test_carried_gram_matches_recomputed_after_every_move():
         script = random_block_script(rng, blocks, rng.randint(1, 12))
         records = []
         for move in script:
-            seq, record = move_block(seq, move["block"], move["direction"])
+            block = move["block"]
+            other = block - 1 if move["direction"] == "left" else block + 1
+            (ls, le), (rs, re) = sorted(seq.block_bounds()[b] for b in (block, other))
+            g = gram_matrix(seq)  # both off-diagonal blocks before the move
+            orthogonal = not any(g[i][j] or g[j][i] for i in range(ls, le) for j in range(rs, re))
+            seq, record = move_block(seq, block, move["direction"])
+            assert record.orthogonal is orthogonal
             records.append(record)
             assert [list(r) for r in seq.gram] == gram_matrix(seq)
             assert is_semiorthogonal(seq)
         assert is_unimodular(seq)
+        seen_flags.update(r.orthogonal for r in records)
         # a whole script on one working copy matches the move-by-move replay
         final, script_records = apply_script(start, script)
         assert final == seq and final.gram == seq.gram
         assert script_records == records
+    assert seen_flags == {False, True}
 
 
 def test_carried_gram_after_elementary_mutations_and_reload():
