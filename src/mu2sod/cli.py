@@ -33,8 +33,11 @@ def _fail(message: str) -> int:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
     else:
         print(text)
 
@@ -81,7 +84,7 @@ def _write(value, out: list[str], newline: str) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(x) is int for x in value):  # bools keep the general path
+        if {*map(type, value)} == {int}:  # bools keep the general path
             out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
             return
         opener = "["
@@ -135,7 +138,7 @@ def _plan_with_gram(spec, report):
     """Regrouping plan, with orthogonality flags when a Gram is available."""
     try:
         result = gram_report(spec, report)
-        matrix = [list(r) for r in result.matrix] if result.triangular else None
+        matrix = result.matrix if result.triangular else None
     except EulerError:
         matrix = None
     return msodc_plan(report, matrix)
@@ -195,17 +198,14 @@ def cmd_mutate(args) -> int:
             seq = mutations.sequence_from_dict(json.load(fh))
         with open(args.script, encoding="utf-8") as fh:
             script = mutations.parse_script(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         return _fail(f"bad mutate input: {exc}")
     try:
         final, records = mutations.apply_script(seq, script)
     except (IndexError, ValueError) as exc:
         return _fail(f"cannot apply script: {exc}")
     doc = final.to_dict()
-    doc["moves"] = [
-        {"block": r.block, "direction": r.direction, "orthogonal": r.orthogonal}
-        for r in records
-    ]
+    doc["moves"] = [r.to_dict() for r in records]
     doc["semiorthogonal"] = mutations.is_semiorthogonal(final)
     doc["unimodular"] = mutations.is_unimodular(final)
     if args.json:

@@ -150,7 +150,7 @@ def parse_spec(text: str) -> ActionSpec:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError("document must be a JSON object")

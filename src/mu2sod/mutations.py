@@ -15,12 +15,13 @@ Blocks partition the positions into contiguous runs; block moves in
 ``apply_script`` compose elementwise mutations so that a whole block
 passes an adjacent one, then swap the two block sizes.
 
-Cost model.  A sequence carries G, computed once at construction (it is
-B itself for the identity basis), so a pairing is a lookup and an
-elementary mutation costs O(N).  A script runs its block moves, and
-their elementary steps, on one mutable working copy of (vectors, G) and
-freezes it once, O(N^2); a single ``move_block`` call thaws and freezes
-once.
+Cost model.  A sequence carries G, computed once at construction (B
+itself for ``identity_sequence``), so a pairing is a lookup.  Each
+public call (``mutate_left``, ``mutate_right``, ``move_block``) and each
+whole ``apply_script`` builds one replay, a mutable copy of (vectors, G,
+blocks) that costs O(N^2) to build and to turn back into a sequence.
+On it an elementary mutation costs O(N), and a block move walks the
+block sizes once and reads its orthogonality flag off the replay's G.
 The final checks never read the carried G.  ``is_semiorthogonal``
 recomputes V B V^T from the form and the vectors as two products that
 skip the zeros of V, and ``determinant`` is Bareiss fraction-free
@@ -37,18 +38,6 @@ from dataclasses import dataclass, field
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
-
-
-def _block_bounds(blocks: tuple[int, ...]) -> list[tuple[int, int]]:
-    out, start = [], 0
-    for size in blocks:
-        out.append((start, start + size))
-        start += size
-    return out
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _product(left: Matrix, right: Matrix) -> list[list[int]]:
@@ -77,7 +66,7 @@ class ExceptionalSequence:
     vectors: Matrix
     blocks: tuple[int, ...]
     # Pairing matrix V B V^T.  Callers leave it out and it is computed at
-    # construction; a working copy passes the matrix it carried.
+    # construction; ``identity_sequence`` and a replay pass the one they know.
     gram: Matrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -89,15 +78,18 @@ class ExceptionalSequence:
         if sum(self.blocks) != n or any(b <= 0 for b in self.blocks):
             raise ValueError("blocks must be a partition of the positions")
         if self.gram is None:
-            gram = self.form if self.vectors == _identity(n) else _pairing_matrix(self.form, self.vectors)
-            object.__setattr__(self, "gram", gram)
+            object.__setattr__(self, "gram", _pairing_matrix(self.form, self.vectors))
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def block_bounds(self) -> list[tuple[int, int]]:
         """Half-open position ranges of the blocks."""
-        return _block_bounds(self.blocks)
+        out, start = [], 0
+        for size in self.blocks:
+            out.append((start, start + size))
+            start += size
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -139,7 +131,9 @@ def identity_sequence(form, blocks=None) -> ExceptionalSequence:
     n = len(form)
     if blocks is None:
         blocks = (1,) * n
-    return ExceptionalSequence(tuple(tuple(r) for r in form), _identity(n), tuple(blocks))
+    form = tuple(tuple(r) for r in form)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return ExceptionalSequence(form, identity, tuple(blocks), gram=form)
 
 
 def pairing(seq: ExceptionalSequence, i: int, j: int) -> int:
@@ -198,64 +192,92 @@ def is_unimodular(seq: ExceptionalSequence) -> bool:
     return determinant(seq.vectors) in (1, -1)
 
 
-class _Working:
-    """Mutable copy of a sequence: its vectors, pairing matrix and blocks.
+def _orthogonal(g, left: tuple[int, int], right: tuple[int, int]) -> bool:
+    """Whether two position ranges pair to zero both ways in G = ``g``."""
+    (ls, le), (rs, re) = left, right
+    return not any(any(g[i][rs:re]) for i in range(ls, le)) and not any(
+        any(g[j][ls:le]) for j in range(rs, re)
+    )
 
-    ``mutate_left``, ``mutate_right`` and ``move_block`` given a frozen
-    sequence thaw it into one of these, work on it and freeze the result;
-    given a working copy, they update it in place and return it.  So a
-    script runs all of its moves on one copy and freezes once.
+
+def blocks_orthogonal(seq: ExceptionalSequence, left: int, right: int) -> bool:
+    """Whether two blocks pair to zero in both directions."""
+    bounds = seq.block_bounds()
+    return _orthogonal(seq.gram, bounds[left], bounds[right])
+
+
+@dataclass(frozen=True)
+class Move:
+    block: int
+    direction: str
+    orthogonal: bool | None  # None = unknown (no Gram to replay on)
+
+    def to_dict(self) -> dict:
+        return {"block": self.block, "direction": self.direction, "orthogonal": self.orthogonal}
+
+
+class _Replay:
+    """Mutable copy of a sequence's vectors, pairing matrix and blocks.
+
+    Each public mutation builds one, works on it and freezes the result;
+    ``apply_script`` runs all of its moves on one.
     """
 
     def __init__(self, seq: ExceptionalSequence) -> None:
-        self.form, self.blocks = seq.form, seq.blocks
+        self.form = seq.form
         self.vectors = [list(v) for v in seq.vectors]
         self.gram = [list(r) for r in seq.gram]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def block_bounds(self) -> list[tuple[int, int]]:
-        return _block_bounds(self.blocks)
+        self.blocks = list(seq.blocks)
 
     def freeze(self) -> ExceptionalSequence:
-        return ExceptionalSequence(
-            self.form, tuple(map(tuple, self.vectors)), self.blocks, tuple(map(tuple, self.gram))
-        )
+        vectors, gram = tuple(map(tuple, self.vectors)), tuple(map(tuple, self.gram))
+        return ExceptionalSequence(self.form, vectors, tuple(self.blocks), gram)
 
-
-def _thaw(seq) -> _Working:
-    return seq if isinstance(seq, _Working) else _Working(seq)
-
-
-def _result(seq, work: _Working):
-    """The caller's own working copy, or a frozen copy of a new one."""
-    return work if work is seq else work.freeze()
-
-
-def _braid(work: _Working, p: int, target: int, c: int) -> None:
-    """Swap basis elements p and p+1, then subtract c times the other one
-    from the one now at ``target``.  G follows by congruence: each step
-    acts on rows p, p+1, then on columns p, p+1."""
-    q = p + 1
-    source = p + q - target
-    vectors, gram = work.vectors, work.gram
-    for rows in (vectors, gram):
-        rows[p], rows[q] = rows[q], rows[p]
-    for row in gram:
-        row[p], row[q] = row[q], row[p]
-    if c:
+    def braid(self, p: int, target: int) -> None:
+        """Swap basis elements p and p+1, then subtract c = pairing(p, p+1)
+        times the other one from the one now at ``target``.  G follows by
+        congruence: each step acts on rows p, p+1, then on columns p, p+1."""
+        q = p + 1
+        source = p + q - target
+        vectors, gram = self.vectors, self.gram
+        c = gram[p][q]
         for rows in (vectors, gram):
-            rows[target] = [x - c * y for x, y in zip(rows[target], rows[source])]
+            rows[p], rows[q] = rows[q], rows[p]
         for row in gram:
-            row[target] -= c * row[source]
+            row[p], row[q] = row[q], row[p]
+        if c:
+            for rows in (vectors, gram):
+                rows[target] = [x - c * y for x, y in zip(rows[target], rows[source])]
+            for row in gram:
+                row[target] -= c * row[source]
 
-
-def _elementary(seq, p: int, target: int):
-    """One braid move on positions (p, p+1)."""
-    work = _thaw(seq)
-    _braid(work, p, target, pairing(work, p, p + 1))
-    return _result(seq, work)
+    def move(self, block: int, direction: str) -> Move:
+        """Pass ``block`` over its neighbour, element by element, then swap
+        the two block sizes; the move is orthogonal when the two blocks
+        pair to zero in both directions just before it."""
+        blocks = self.blocks
+        if direction not in ("left", "right"):
+            raise ValueError(f"unknown direction {direction!r}")
+        other = block - 1 if direction == "left" else block + 1
+        first = min(block, other)
+        if not 0 <= first < len(blocks) - 1:
+            raise IndexError(f"cannot move block {block} {direction} of {len(blocks)} blocks")
+        start = sum(blocks[:first])
+        middle = start + blocks[first]
+        end = middle + blocks[first + 1]
+        orthogonal = _orthogonal(self.gram, (start, middle), (middle, end))
+        # Leftward, the leftmost element goes first and meets the passed
+        # block's rightmost element first; rightward, the mirror image.
+        if direction == "left":
+            for j in range(blocks[block]):
+                for pos in range(middle + j - 1, start + j - 1, -1):
+                    self.braid(pos, pos)
+        else:
+            for j in range(blocks[block]):
+                for pos in range(middle - 1 - j, end - 1 - j):
+                    self.braid(pos, pos + 1)
+        blocks[block], blocks[other] = blocks[other], blocks[block]
+        return Move(block, direction, orthogonal)
 
 
 def mutate_left(seq: ExceptionalSequence, i: int) -> ExceptionalSequence:
@@ -268,7 +290,9 @@ def mutate_left(seq: ExceptionalSequence, i: int) -> ExceptionalSequence:
     n = len(seq)
     if not (1 <= i < n):
         raise IndexError(f"left mutation needs 1 <= i < {n}, got {i}")
-    return _elementary(seq, i - 1, i - 1)
+    replay = _Replay(seq)
+    replay.braid(i - 1, i - 1)
+    return replay.freeze()
 
 
 def mutate_right(seq: ExceptionalSequence, i: int) -> ExceptionalSequence:
@@ -280,24 +304,9 @@ def mutate_right(seq: ExceptionalSequence, i: int) -> ExceptionalSequence:
     n = len(seq)
     if not (0 <= i < n - 1):
         raise IndexError(f"right mutation needs 0 <= i < {n - 1}, got {i}")
-    return _elementary(seq, i, i + 1)
-
-
-@dataclass(frozen=True)
-class MoveRecord:
-    block: int
-    direction: str
-    orthogonal: bool
-
-
-def blocks_orthogonal(seq: ExceptionalSequence, left: int, right: int) -> bool:
-    """Whether two blocks pair to zero in both directions."""
-    bounds = seq.block_bounds()
-    (ls, le), (rs, re) = bounds[left], bounds[right]
-    g = seq.gram
-    return not any(any(g[i][rs:re]) for i in range(ls, le)) and not any(
-        any(g[j][ls:le]) for j in range(rs, re)
-    )
+    replay = _Replay(seq)
+    replay.braid(i, i + 1)
+    return replay.freeze()
 
 
 def move_block(seq: ExceptionalSequence, block: int, direction: str):
@@ -307,41 +316,9 @@ def move_block(seq: ExceptionalSequence, block: int, direction: str):
     previous block (each moving element is mutated through the passed
     block's rightmost element first); blocks then swap sizes.
     """
-    nblocks = len(seq.blocks)
-    if direction not in ("left", "right"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if direction == "left":
-        if not (1 <= block < nblocks):
-            raise IndexError(f"cannot move block {block} left of {nblocks} blocks")
-        other = block - 1
-    else:
-        if not (0 <= block < nblocks - 1):
-            raise IndexError(f"cannot move block {block} right of {nblocks} blocks")
-        other = block + 1
-    record = MoveRecord(block, direction, blocks_orthogonal(seq, min(block, other), max(block, other)))
-
-    work = _thaw(seq)
-    bounds = work.block_bounds()
-    size = work.blocks[block]
-    size_other = work.blocks[other]
-    if direction == "left":
-        prev_start = bounds[other][0]
-        for j in range(size):
-            pos = prev_start + size_other + j
-            for _ in range(size_other):
-                mutate_left(work, pos)
-                pos -= 1
-    else:
-        start = bounds[block][0]
-        for j in range(size):
-            pos = start + size - 1 - j  # rightmost unmoved element
-            for _ in range(size_other):
-                mutate_right(work, pos)
-                pos += 1
-    blocks = list(work.blocks)
-    blocks[other], blocks[block] = blocks[block], blocks[other]
-    work.blocks = tuple(blocks)
-    return _result(seq, work), record
+    replay = _Replay(seq)
+    move = replay.move(block, direction)
+    return replay.freeze(), move
 
 
 def apply_script(seq: ExceptionalSequence, moves):
@@ -351,19 +328,16 @@ def apply_script(seq: ExceptionalSequence, moves):
     the two blocks were fully orthogonal at the time of the move (in
     which case the move is a pure transposition of classes).
     """
-    work = _Working(seq)
-    records = []
-    for move in moves:
-        if isinstance(move, dict):
-            block, direction = move["block"], move["direction"]
-        else:
-            block, direction = move
-        records.append(move_block(work, block, direction)[1])
-    return work.freeze(), records
+    replay = _Replay(seq)
+    records = [replay.move(m["block"], m["direction"]) for m in moves]
+    return replay.freeze(), records
 
 
 def parse_script(text: str) -> list[dict]:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("mutation script is nested too deeply") from exc
     if not isinstance(doc, list):
         raise ValueError("mutation script must be a JSON array of moves")
     for move in doc:

@@ -14,6 +14,7 @@ one is supplied to record which moves are orthogonal transpositions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import mutations
@@ -112,25 +113,12 @@ def report_to_dict(report: SodReport) -> dict:
 
 
 @dataclass(frozen=True)
-class Move:
-    block: int
-    direction: str
-    orthogonal: bool | None  # None = unknown (no Gram supplied)
-
-
-@dataclass(frozen=True)
 class MutationPlan:
-    moves: tuple[Move, ...]
+    moves: tuple[mutations.Move, ...]
     block_order: tuple[int, ...]  # final order of the original block indices
 
     def to_dict(self) -> dict:
-        return {
-            "moves": [
-                {"block": m.block, "direction": m.direction, "orthogonal": m.orthogonal}
-                for m in self.moves
-            ],
-            "block_order": list(self.block_order),
-        }
+        return {"moves": [m.to_dict() for m in self.moves], "block_order": list(self.block_order)}
 
 
 def grouped_block_order(report: SodReport) -> list[int]:
@@ -139,7 +127,7 @@ def grouped_block_order(report: SodReport) -> list[int]:
     return [pos for _, positions in report.grouping for pos in positions]
 
 
-def msodc_plan(report: SodReport, gram: list[list[int]] | None = None) -> MutationPlan:
+def msodc_plan(report: SodReport, gram: Sequence[Sequence[int]] | None = None) -> MutationPlan:
     """Leftward adjacent block moves regrouping the pieces by element.
 
     Every component of the report is one block.  When ``gram`` is given
@@ -158,15 +146,14 @@ def msodc_plan(report: SodReport, gram: list[list[int]] | None = None) -> Mutati
             steps.append(p)
             order.insert(p - 1, order.pop(p))
             p -= 1
-    flags: list[bool | None] = [None] * len(steps)
-    if gram is not None:
+    if gram is None:
+        moves = [mutations.Move(p, "left", None) for p in steps]
+    else:
         sizes = tuple(c.rank for c in report.components)
         if len(gram) != sum(sizes):
             raise ValueError(
                 f"Gram has {len(gram)} rows but the report's blocks need {sum(sizes)}"
             )
-        seq = mutations.identity_sequence(tuple(tuple(r) for r in gram), sizes)
-        _, records = mutations.apply_script(seq, [(p, "left") for p in steps])
-        flags = [r.orthogonal for r in records]
-    moves = tuple(Move(block=p, direction="left", orthogonal=f) for p, f in zip(steps, flags))
-    return MutationPlan(moves=moves, block_order=tuple(order))
+        seq = mutations.identity_sequence(gram, sizes)
+        _, moves = mutations.apply_script(seq, [{"block": p, "direction": "left"} for p in steps])
+    return MutationPlan(moves=tuple(moves), block_order=tuple(order))

@@ -202,6 +202,44 @@ def test_mutate_rejects_non_integer_input(tmp_path, capsys):
         assert err.startswith("error: bad mutate input")
 
 
+def test_unwritable_out_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    for argv in (["analyze", "--preset", "p2-example", "--json"], ["verify", "--preset", "p2-example"]):
+        code, err = run_err(capsys, *argv, "--out", str(target))
+        assert code == 2, argv
+        assert err.startswith(f"error: cannot write {target}")
+    assert not target.parent.exists()
+
+
+DEEP = "[" * 200_000
+
+
+def test_deeply_nested_spec_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(DEEP)
+    code, err = run_err(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("error: not valid JSON")
+
+
+def test_deeply_nested_mutate_sequence_is_an_input_error(tmp_path, capsys):
+    seq_path, script_path = tmp_path / "seq.json", tmp_path / "script.json"
+    seq_path.write_text(DEEP)
+    script_path.write_text("[]")
+    code, err = run_err(capsys, "mutate", str(seq_path), "--script", str(script_path))
+    assert code == 2
+    assert err.startswith("error: bad mutate input")
+
+
+def test_deeply_nested_mutate_script_is_an_input_error(tmp_path, capsys):
+    seq_path, script_path = tmp_path / "seq.json", tmp_path / "script.json"
+    seq_path.write_text(json.dumps(identity_sequence(((1, 0), (0, 1))).to_dict()))
+    script_path.write_text(DEEP)
+    code, err = run_err(capsys, "mutate", str(seq_path), "--script", str(script_path))
+    assert code == 2
+    assert err.startswith("error: bad mutate input: mutation script is nested too deeply")
+
+
 def test_spec_booleans_rejected(tmp_path, capsys):
     for i, doc in enumerate(
         [

@@ -139,6 +139,7 @@ def test_golden_verify_battery_digest(capsys):
 LARGE_GOLDEN = {
     "gram pn-full-5": "e0182c9fc4a4d29fe8beca706a86a1cddd4a318a2871fe82b349beaca98bbd10",
     "sod pn-full-5": "96c8834d0f2c4920ac6860eeacf89c0ee77f637064907acc1bc8091e86895cf0",
+    "sod pn-full-6": "1d14d6c5ec9f496463b46be153df3e72245370d2512e840d819ccfa0de5e14f1",
 }
 
 
@@ -152,7 +153,7 @@ def test_golden_sod_pn_full_6_digest(capsys):
     # N=448: 3,080 plan moves replayed on the Gram
     text = _run(capsys, ["sod", "--preset", "pn-full", "--n", "6", "--json"])
     assert len(json.loads(text)["msodc"]["moves"]) == 3080
-    assert _digest(text) == "1d14d6c5ec9f496463b46be153df3e72245370d2512e840d819ccfa0de5e14f1"
+    assert _digest(text) == LARGE_GOLDEN["sod pn-full-6"]
 
 
 def seeded_projective_spec(seed: int, n: int, k: int, effective: bool):
