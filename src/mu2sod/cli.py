@@ -14,6 +14,7 @@ preset; exactly one source must be given.  Human tables are advisory;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -267,17 +268,7 @@ def _verify_checks(args) -> list[verify.CheckResult]:
 def cmd_verify(args) -> int:
     results = _verify_checks(args)
     if args.json:
-        doc = [
-            {
-                "name": r.name,
-                "status": r.status,
-                "expected": r.expected,
-                "actual": r.actual,
-                "context": r.context,
-            }
-            for r in results
-        ]
-        _emit(_dump(doc), args.out)
+        _emit(_dump([dataclasses.asdict(r) for r in results]), args.out)
     else:
         _emit("\n".join(r.line() for r in results), args.out)
     return CHECK_FAILED if any(r.status == verify.FAIL for r in results) else OK

@@ -23,20 +23,24 @@ the G-invariant Euler pairing:
 Characters are self-inverse, so all character bookkeeping is XOR on
 their int encodings.
 
-Cost model.  ``gram`` expands each object's Koszul resolution once, into
-a profile: its terms summed per (twist, character), at most 2^c keys on
-c coordinates and fewer when coordinates share a character.  It then
-inverts the targets once per matrix: for every twist in some profile and
-every target, the nonzero entries of one cohomology vector (at most 2^k
-on mu_2^k) are filed under the profile key they pair with.  A row is a
-sparse sum over its profile's keys, so the matrix costs one index plus
-work proportional to the nonzero (profile term, index entry) matches;
-there is no per-pair expansion and no cache lookup per (pair, term).
-Twisting an object by a character only XORs its profile keys, so
-``character_normalization`` tests every twist of a block against one
-index of the objects already placed, and extends that index by each
-accepted block.  ``gram_report`` builds the profiles once and reads a
-normalized Gram off that index, so it expands each object once.
+Cost model.  ``gram`` reads each object's Koszul resolution off the
+parity table of its complement's characters, the cached subset table
+that ``cohomology`` reads for a support, into a profile: its terms
+summed per (twist, character), at most 2^c keys on c coordinates and
+fewer when coordinates share a character.  Objects of one block share a
+complement, hence one enumeration.  It then inverts the targets once per
+matrix: for every twist in some profile and every target, the nonzero
+entries of one cohomology vector (at most 2^k on mu_2^k) are filed under
+the profile key they pair with.  A row is a sparse sum over its
+profile's keys, so the matrix costs one index plus work proportional to
+the nonzero (profile term, index entry) matches; there is no per-pair
+expansion and no cache lookup per (pair, term).  Twisting an object by a
+character only XORs its profile keys, so ``character_normalization``
+tests every twist of a block against its own index of the objects
+already placed, and extends that index by each accepted block.
+``gram_report`` composes the two: when the trivial choice is not
+triangular and twists are found, it recomputes the Gram of the twisted
+objects.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from math import comb
 
 from .groups import ActionSpec, bit_list
 from .inertia import twist_step
+from .mutations import is_unipotent_upper
 from .sod import SodReport
 
 
@@ -162,13 +167,16 @@ _Profile = dict[tuple[int, int], int]
 
 
 def _profile(spec: ActionSpec, obj: KObject) -> _Profile:
-    """``obj``'s Koszul terms summed per (twist, character value).  Terms
-    under one key come from subsets of one size, so they share a sign and
-    no sum vanishes.  Twisting ``obj`` by psi XORs psi into every key."""
-    summed: _Profile = {}
-    for twist, value, sign in koszul(spec, obj):
-        summed[twist, value] = summed.get((twist, value), 0) + sign
-    return summed
+    """``obj``'s Koszul terms summed per (twist, character value), read off
+    the parity table of its complement's characters.  Terms under one key
+    come from subsets of one size, so they share a sign and no sum
+    vanishes.  Twisting ``obj`` by psi XORs psi into every key."""
+    _check_ambient(spec)
+    complement = [i for i in range(spec.num_coords) if i not in obj.support]
+    return {
+        (obj.twist - size, obj.char ^ value): (-1) ** size * count
+        for size, value, count in _parity_classes(_char_values(spec, complement))
+    }
 
 
 @lru_cache(maxsize=None)
@@ -204,25 +212,14 @@ def _pair_row(profile: _Profile, index: _Index, psi: int, width: int) -> list[in
     return row
 
 
-def gram(
-    spec: ActionSpec, objects: list[KObject], profiles: list[_Profile] | None = None
-) -> list[list[int]]:
+def gram(spec: ActionSpec, objects: list[KObject]) -> list[list[int]]:
     """Matrix of ``euler_pairing`` over all ordered pairs: one profile per
-    object, one target index for the matrix.  A caller that already has
-    the objects' profiles passes them."""
+    object, one target index for the matrix."""
     _check_ambient(spec)
-    if profiles is None:
-        profiles = [_profile(spec, e) for e in objects]
+    profiles = [_profile(spec, e) for e in objects]
     index: _Index = {}
     _index_targets(spec, index, {t for p in profiles for t, _ in p}, objects, 0)
     return [_pair_row(p, index, 0, len(objects)) for p in profiles]
-
-
-def is_unipotent_upper(matrix: list[list[int]]) -> bool:
-    n = len(matrix)
-    return all(matrix[i][i] == 1 for i in range(n)) and all(
-        matrix[i][j] == 0 for i in range(n) for j in range(i)
-    )
 
 
 def canonical_generators(
@@ -261,11 +258,7 @@ def canonical_generators(
 
 
 def character_normalization(
-    spec: ActionSpec,
-    objects: list[KObject],
-    sizes: tuple[int, ...],
-    profiles: list[_Profile] | None = None,
-    index: _Index | None = None,
+    spec: ActionSpec, objects: list[KObject], sizes: tuple[int, ...]
 ) -> list[int] | None:
     """Greedy search for per-block character twists making the Gram
     unipotent upper triangular.
@@ -275,17 +268,10 @@ def character_normalization(
     left to right and each keeps the first character (trivial first)
     killing all pairings against the already-placed objects.  Returns
     None when some block admits no such character.
-
-    A caller that already has the objects' profiles passes them.  Each
-    placed block is filed, twisted, in ``index``; a caller that passes an
-    empty index gets back, on success, the targets of the whole twisted
-    Gram, whose row i is ``_pair_row(profiles[i], index, psi_i, N)``.
     """
-    if profiles is None:
-        profiles = [_profile(spec, obj) for obj in objects]
+    profiles = [_profile(spec, obj) for obj in objects]
     profile_twists = {t for p in profiles for t, _ in p}
-    if index is None:
-        index = {}
+    index: _Index = {}
     chosen: list[int] = []
     placed = 0
     for size in sizes:
@@ -329,15 +315,13 @@ def gram_report(spec: ActionSpec, report: SodReport) -> GramResult:
     """Canonical-generator Gram of a report, auto-normalizing characters
     if the default trivial choice is not triangular."""
     objects, sizes = canonical_generators(spec, report)
-    profiles = [_profile(spec, obj) for obj in objects]
-    matrix = gram(spec, objects, profiles)
+    matrix = gram(spec, objects)
     triangular = is_unipotent_upper(matrix)
-    index: _Index = {}
-    twists = None if triangular else character_normalization(spec, objects, sizes, profiles, index)
+    twists = None if triangular else character_normalization(spec, objects, sizes)
     if twists is not None:
         per_object = [psi for psi, size in zip(twists, sizes) for _ in range(size)]
         objects = [obj.twisted(psi) for obj, psi in zip(objects, per_object)]
-        matrix = [_pair_row(p, index, psi, len(objects)) for p, psi in zip(profiles, per_object)]
+        matrix = gram(spec, objects)
         triangular = is_unipotent_upper(matrix)
     return GramResult(
         tuple(objects),

@@ -150,11 +150,15 @@ def gram_matrix(seq: ExceptionalSequence) -> list[list[int]]:
     return [list(r) for r in _pairing_matrix(seq.form, seq.vectors)]
 
 
+def is_unipotent_upper(matrix: list[list[int]]) -> bool:
+    """1 on the diagonal and 0 below it."""
+    return all(row[i] == 1 and not any(row[:i]) for i, row in enumerate(matrix))
+
+
 def is_semiorthogonal(seq: ExceptionalSequence) -> bool:
     """pairing(i, i) = 1 for all i and pairing(i, j) = 0 for i > j,
     checked on a recomputed pairing matrix."""
-    m = gram_matrix(seq)
-    return all(row[i] == 1 and not any(row[:i]) for i, row in enumerate(m))
+    return is_unipotent_upper(gram_matrix(seq))
 
 
 def determinant(vectors: Matrix) -> int:

@@ -416,6 +416,20 @@ def _merges(spec, obj) -> bool:
     return len(set(keys)) < len(keys)
 
 
+def koszul_profile(spec, obj):
+    """Reference for ``euler._profile``: ``obj``'s ``koszul`` terms summed
+    per (twist, character value)."""
+    summed = {}
+    for twist, value, sign in koszul(spec, obj):
+        summed[twist, value] = summed.get((twist, value), 0) + sign
+    return summed
+
+
+def assert_profiles_match_koszul(spec, objects):
+    for obj in objects:
+        assert euler._profile(spec, obj) == koszul_profile(spec, obj), obj
+
+
 def test_gram_matches_pairwise_on_random_objects():
     # arbitrary supports, twists and characters, including non-triangular
     # Grams and the ambient space of a quadric
@@ -433,6 +447,7 @@ def test_gram_matches_pairwise_on_random_objects():
             )
             for _ in range(12)
         ]
+        assert_profiles_match_koszul(spec, objects)
         assert gram(spec, objects) == pairwise_gram(spec, objects)
 
     # where the index is busiest: k = 5 and 6 and a quadric ambient, every
@@ -447,6 +462,7 @@ def test_gram_matches_pairwise_on_random_objects():
     for spec in busiest:
         objects = _random_objects(rng, spec, 28)
         assert _branches(spec, objects) == {"sections", "window", "serre"}
+        assert_profiles_match_koszul(spec, objects)
         matrix = gram(spec, objects)
         assert matrix == pairwise_gram(spec, objects)
         assert any(x == 0 for row in matrix for x in row) and any(x for row in matrix for x in row)
@@ -513,6 +529,7 @@ def test_gram_report_expands_each_object_once(monkeypatch):
     # the seeded golden spec whose Gram needs character normalization
     spec = seeded_projective_spec(0, 4, 5, False)
     report = assemble(spec)
+    objects, sizes = canonical_generators(spec, report)
     calls = []
 
     def counting_koszul(spec, obj):
@@ -520,13 +537,26 @@ def test_gram_report_expands_each_object_once(monkeypatch):
         return koszul(spec, obj)
 
     monkeypatch.setattr(euler, "koszul", counting_koszul)
+    for cache in (euler._parity_classes, euler._cohomology, euler._cohomology_entries):
+        cache.cache_clear()
     result = gram_report(spec, report)
     assert result.normalized and result.triangular
     assert len(result.matrix) == 160
-    assert len(calls) == 160
+    # profiles come from the parity table, never from koszul, and each
+    # support or complement character tuple is enumerated once
+    assert calls == []
+    char_tuples = {
+        tuple(c for i, c in enumerate(spec.characters) if (i in obj.support) == inside)
+        for obj in objects
+        for inside in (True, False)
+    }
+    assert euler._parity_classes.cache_info().misses == len(char_tuples)
+    matrix = gram(spec, list(result.objects))
+    assert calls == []
+    # the reference pairing still expands its first argument by koszul
+    euler_pairing(spec, objects[0], objects[1])
+    assert calls == [objects[0]]
     monkeypatch.undo()
-    # the matrix read off the normalization index is the Gram of the
-    # twisted objects, computed afresh
-    assert [list(r) for r in result.matrix] == gram(spec, list(result.objects))
-    objects, sizes = canonical_generators(spec, report)
+    # the normalized matrix is the Gram of the twisted objects
+    assert [list(r) for r in result.matrix] == matrix
     assert list(result.twists) == character_normalization(spec, objects, sizes)
