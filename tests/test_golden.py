@@ -1,10 +1,12 @@
 """Golden-output gate: the ``--json`` bytes of ``gram``, ``sod`` and
 ``mutate`` on the projective preset ladder, of ``analyze`` and
 ``verify`` on projective, quadric and etale presets, of ``sod`` on the
-quadric presets and of the default ``verify`` battery are pinned by
-SHA-256, as are ``gram`` and ``sod`` on pn-full n=5, ``sod`` on pn-full
-n=6 and ``gram`` on two seeded random projective specs (one of them
-needs character normalization).
+quadric presets, of the default ``verify`` battery and of each
+``verify --check`` name are pinned by SHA-256, as are ``gram`` and
+``sod`` on pn-full n=5, ``sod`` on pn-full n=6 and ``gram`` on two
+seeded random projective specs (one of them needs character
+normalization).  The exit code and stderr line of three ``verify``
+input errors are pinned as well.
 
 The mutate input is the identity sequence on the preset's Gram form,
 blocked by component rank; its script is the ``sod`` regrouping plan's
@@ -134,6 +136,44 @@ BATTERY_GOLDEN = "2013b8a85b77611a99301fd1f7a8fdfdfe80e800ae1a14830d89ee622f5abf
 
 def test_golden_verify_battery_digest(capsys):
     assert _digest(_run(capsys, ["verify", "--json"])) == BATTERY_GOLDEN
+
+
+# every ``verify --check`` name -> (its arguments, digest of ``--json``)
+CHECK_GOLDEN = {
+    "etale-sweep": ([], "49a635a7fb34c764e944b16ef5a544cf63a3bf611afa230f52eb1f75d5812c79"),
+    "gram-presets": ([], "b28ccb31672a128abe3db584e9bd5b6983e2f4523b40b5e1c50bfe38b2a6fcf6"),
+    "random-sweep": ([], "dc93db2bd7c6ad5ac51e821ba00d8c088382a2e27ee703c208f810c104726cee"),
+    "etale": (["--n", "4", "--k", "2"], "ee4d774b134bcca9a5dd0ac4fde460abeb3950f9e6356d0439d0497ffef7f5e4"),
+    "quadric": (["--q-dim", "3"], "076c064c43b3938a82cc3fca5ac359785021e71dbb9c8c20a20e461d61d42cf0"),
+    "projective-rank": (
+        ["--preset", "pn-full", "--n", "3"],
+        "8281e51ffe420393e6ad7f5f6c012e042a1ee47a6dbf8bc813f65c3d232dde02",
+    ),
+    "burnside-total": (
+        ["--preset", "quadric", "--q-dim", "2"],
+        "3f4e16d3cdce460cdb8719146bf71a5cf427ea82bf4e44ac8828eb18a5277515",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECK_GOLDEN))
+def test_golden_verify_check_digests(capsys, check):
+    args, digest = CHECK_GOLDEN[check]
+    assert _digest(_run(capsys, ["verify", "--json", "--check", check, *args])) == digest
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["--check", "nope"], "error: unknown check 'nope'\n"),
+        (["--check", "etale"], "error: the etale check needs --n and --k\n"),
+        (["--preset", "quadric"], "error: the quadric check needs --q-dim\n"),
+    ],
+)
+def test_golden_verify_input_errors(capsys, argv, line):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
 
 
 LARGE_GOLDEN = {
