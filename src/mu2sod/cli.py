@@ -175,10 +175,7 @@ def cmd_sod(args) -> int:
 def cmd_gram(args) -> int:
     spec = _load_spec(args)
     report = assemble(spec)
-    try:
-        result = gram_report(spec, report)
-    except EulerError as exc:
-        return _fail(str(exc))
+    result = gram_report(spec, report)
     if args.json:
         _emit(_dump(result.to_dict()), args.out)
         return OK
@@ -224,40 +221,33 @@ def cmd_mutate(args) -> int:
     return OK
 
 
-def _etale_check(args) -> list[verify.CheckResult]:
-    if args.n is None or args.k is None:
-        raise SpecError("the etale check needs --n and --k")
-    return [verify.check_etale(args.n, args.k)]
+def _sizes(args, check: str, *names: str) -> list[int]:
+    """The size options a check reads, all of which must be given."""
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        flags = " and ".join("--" + name.replace("_", "-") for name in names)
+        raise SpecError(f"the {check} check needs {flags}")
+    return values
 
 
-def _quadric_check(args) -> list[verify.CheckResult]:
-    if args.q_dim is None:
-        raise SpecError("the quadric check needs --q-dim")
-    return [verify.check_quadric(args.q_dim)]
+# --check name -> its result, read off the parsed arguments
+_CHECKS = {
+    "etale-sweep": lambda args: verify.check_etale_sweep(),
+    "gram-presets": lambda args: verify.check_gram_presets(),
+    "random-sweep": lambda args: verify.check_random_rank_sweep(),
+    "etale": lambda args: verify.check_etale(*_sizes(args, "etale", "n", "k")),
+    "quadric": lambda args: verify.check_quadric(*_sizes(args, "quadric", "q_dim")),
+    "projective-rank": lambda args: verify.check_projective_rank(_load_spec(args)),
+    "burnside-total": lambda args: verify.check_burnside_total(_load_spec(args)),
+}
 
 
 def _verify_checks(args) -> list[verify.CheckResult]:
-    if args.check:
-        named = {
-            "etale-sweep": verify.check_etale_sweep,
-            "gram-presets": verify.check_gram_presets,
-            "random-sweep": verify.check_random_rank_sweep,
-        }
-        if args.check in named:
-            return [named[args.check]()]
-        if args.check == "etale":
-            return _etale_check(args)
-        if args.check == "quadric":
-            return _quadric_check(args)
-        if args.check == "projective-rank":
-            return [verify.check_projective_rank(_load_spec(args))]
-        if args.check == "burnside-total":
-            return [verify.check_burnside_total(_load_spec(args))]
-        raise SpecError(f"unknown check {args.check!r}")
-    if args.preset == "etale":
-        return _etale_check(args)
-    if args.preset == "quadric":
-        return _quadric_check(args)
+    name = args.check or (args.preset if args.preset in ("etale", "quadric") else None)
+    if name:
+        if name not in _CHECKS:
+            raise SpecError(f"unknown check {name!r}")
+        return [_CHECKS[name](args)]
     if args.preset or args.input:
         spec = _load_spec(args)
         report = assemble(spec)
@@ -282,13 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_spec=True):
-        if needs_spec:
-            p.add_argument("input", nargs="?", help="action-spec JSON document")
-            p.add_argument("--preset", choices=["etale", "p2-example", "pn-full", "quadric"])
-            p.add_argument("--n", type=int)
-            p.add_argument("--k", type=int)
-            p.add_argument("--q-dim", type=int, dest="q_dim")
+    def add_common(p):
+        p.add_argument("input", nargs="?", help="action-spec JSON document")
+        p.add_argument("--preset", choices=["etale", "p2-example", "pn-full", "quadric"])
+        p.add_argument("--n", type=int)
+        p.add_argument("--k", type=int)
+        p.add_argument("--q-dim", type=int, dest="q_dim")
         p.add_argument("--json", action="store_true", help="structured output")
         p.add_argument("--out", help="write output to a file")
 
@@ -304,11 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run oracle checks")
     add_common(ver)
-    ver.add_argument(
-        "--check",
-        help="named check (etale-sweep, gram-presets, random-sweep, etale, "
-        "quadric, projective-rank, burnside-total)",
-    )
+    ver.add_argument("--check", help=f"named check ({', '.join(_CHECKS)})")
     return parser
 
 

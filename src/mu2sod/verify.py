@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb
 
 from .euler import gram_report
@@ -155,22 +156,6 @@ def check_quadric(q_dim: int) -> CheckResult:
     )
 
 
-def _block_slices(sizes) -> list[slice]:
-    out, start = [], 0
-    for s in sizes:
-        out.append(slice(start, start + s))
-        start += s
-    return out
-
-
-def _block(matrix, rows: slice, cols: slice) -> list[list[int]]:
-    return [list(row[cols]) for row in matrix[rows]]
-
-
-def _is_zero(block) -> bool:
-    return all(x == 0 for row in block for x in row)
-
-
 def check_gram_presets() -> CheckResult:
     """Gram shape on the bundled projective presets.
 
@@ -198,47 +183,39 @@ def check_gram_presets() -> CheckResult:
         if not result.triangular:
             failures.append(f"{name}: Gram is not unipotent upper triangular")
             continue
-        slices = _block_slices(result.block_sizes)
-        for comp, sl in zip(report.components, slices):
-            diag = _block(result.matrix, sl, sl)
+        matrix = result.matrix
+        starts = list(accumulate(result.block_sizes, initial=0))
+
+        def zero(a: int, b: int) -> bool:
+            """Block a pairs to zero with block b."""
+            rows = matrix[starts[a] : starts[a + 1]]
+            return not any(any(row[starts[b] : starts[b + 1]]) for row in rows)
+
+        for comp, lo, hi in zip(report.components, starts, starts[1:]):
+            diag = [list(row[lo:hi]) for row in matrix[lo:hi]]
             m = comp.coarse_type.dim if comp.coarse_type.kind == "projective" else 0
-            want = [
-                [comb(m + b - a, m) if b >= a else 0 for b in range(len(diag))]
-                for a in range(len(diag))
-            ]
+            size = hi - lo
+            want = [[comb(m + b - a, m) if b >= a else 0 for b in range(size)] for a in range(size)]
             if diag != want:
                 failures.append(f"{name}: diagonal block {diag} != binomial {want}")
-        # record whether equal-dimension blocks pairwise vanish both ways
-        orthogonal_pairs = []
-        for i in range(len(slices)):
-            for j in range(i + 1, len(slices)):
-                ci, cj = report.components[i], report.components[j]
-                if ci.coarse_dim != cj.coarse_dim:
-                    continue
-                both = _is_zero(_block(result.matrix, slices[i], slices[j])) and _is_zero(
-                    _block(result.matrix, slices[j], slices[i])
-                )
-                orthogonal_pairs.append(both)
-        context["equal_dim_blocks_orthogonal"][name] = all(orthogonal_pairs)
+        # equal-dimension blocks should pair to zero both ways
+        dims = [c.coarse_dim for c in report.components]
+        crossed = [
+            (a, b)
+            for a in range(len(dims))
+            for b in range(len(dims))
+            if a != b and dims[a] == dims[b] and not zero(a, b)
+        ]
+        context["equal_dim_blocks_orthogonal"][name] = not crossed
 
         if name == "p2-example":
-            lines = [i for i, c in enumerate(report.components) if c.coarse_dim == 1]
-            points = [i for i, c in enumerate(report.components) if c.coarse_dim == 0]
-            for a in lines:
-                for b in lines:
-                    if a != b and not _is_zero(_block(result.matrix, slices[a], slices[b])):
-                        failures.append(f"{name}: line blocks {a},{b} not orthogonal")
-            for a in points:
-                for b in points:
-                    if a != b and not _is_zero(_block(result.matrix, slices[a], slices[b])):
-                        failures.append(f"{name}: point blocks {a},{b} not orthogonal")
-            one_way = [
-                (a, b)
-                for a in lines
-                for b in points
-                if not _is_zero(_block(result.matrix, slices[a], slices[b]))
-                and _is_zero(_block(result.matrix, slices[b], slices[a]))
+            failures += [
+                f"{name}: {('point', 'line')[dims[a]]} blocks {a},{b} not orthogonal"
+                for a, b in crossed
             ]
+            lines = [i for i, d in enumerate(dims) if d == 1]
+            points = [i for i, d in enumerate(dims) if d == 0]
+            one_way = [(a, b) for a in lines for b in points if not zero(a, b) and zero(b, a)]
             if not one_way:
                 failures.append(f"{name}: no line-point block nonzero in exactly one direction")
             context["line_point_one_way"] = one_way

@@ -1,5 +1,7 @@
 import json
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -109,13 +111,15 @@ def test_structured_output_deterministic(capsys):
 
 
 def test_gram_affine_rejected(capsys):
-    code, _ = run(capsys, "gram", "--preset", "etale", "--n", "3", "--k", "2")
+    code, err = run_err(capsys, "gram", "--preset", "etale", "--n", "3", "--k", "2")
     assert code == 2
+    assert err == "error: Euler pairings need a proper ambient space\n"
 
 
 def test_gram_quadric_rejected(capsys):
-    code, _ = run(capsys, "gram", "--preset", "quadric", "--q-dim", "2")
+    code, err = run_err(capsys, "gram", "--preset", "quadric", "--q-dim", "2")
     assert code == 2
+    assert err == "error: canonical generators on a quadric are not supported\n"
 
 
 def test_gram_p2(capsys):
@@ -455,3 +459,18 @@ def test_dump_matches_json_dumps_property():
         assert cli._dump(doc) == reference_dump(doc)
 
     check()
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``mu2sod`` lines of README's "Command line" code block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("mu2sod ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = [argv for argv in readme_commands() if argv[0] != "mutate"]  # mutate needs files
+    assert {argv[0] for argv in commands} == {"analyze", "sod", "gram", "verify"}
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

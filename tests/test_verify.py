@@ -1,5 +1,9 @@
+import dataclasses
 import random
 
+import pytest
+
+from mu2sod import verify
 from mu2sod.groups import make_spec
 from mu2sod.presets import p2_example, pn_full, quadric
 from mu2sod.sod import assemble
@@ -103,6 +107,54 @@ def test_check_gram_presets():
     # for the open question on equal-dimension interleaving)
     assert all(result.context["equal_dim_blocks_orthogonal"].values())
     assert result.context["line_point_one_way"]
+
+
+# Forged Grams on p2-example (blocks 3, 2, 2, 2, 1, 1, 1: block 0 is the
+# plane, blocks 1-3 the lines at rows 3-8, blocks 4-6 the points at rows
+# 9-11).  p2-full is the same spec, so it sees the same forgery, but only
+# p2-example is held to the line/point rules.
+FORGED_GRAMS = {
+    "line-line": ({(3, 5): 7}, True, ["p2-example: line blocks 1,2 not orthogonal"]),
+    "point-point": ({(9, 10): 7}, True, ["p2-example: point blocks 4,5 not orthogonal"]),
+    "diagonal": (
+        {(3, 4): 5},
+        True,
+        [
+            f"{name}: diagonal block [[1, 5], [0, 1]] != binomial [[1, 2], [0, 1]]"
+            for name in ("p2-example", "p2-full")
+        ],
+    ),
+    "no-one-way": (
+        {(i, j): 0 for i in range(3, 9) for j in range(9, 12)},
+        True,
+        ["p2-example: no line-point block nonzero in exactly one direction"],
+    ),
+    "not-triangular": (
+        {(5, 3): 1},
+        False,
+        [f"{name}: Gram is not unipotent upper triangular" for name in ("p2-example", "p2-full")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_GRAMS))
+def test_check_gram_presets_failures(monkeypatch, case):
+    entries, triangular, expected = FORGED_GRAMS[case]
+    real = verify.gram_report
+
+    def forged(spec, report):
+        result = real(spec, report)
+        if spec != p2_example():
+            return result
+        matrix = [list(row) for row in result.matrix]
+        for (i, j), value in entries.items():
+            matrix[i][j] = value
+        return dataclasses.replace(result, matrix=tuple(map(tuple, matrix)), triangular=triangular)
+
+    monkeypatch.setattr(verify, "gram_report", forged)
+    result = check_gram_presets()
+    assert result.status == FAIL
+    assert result.actual == expected
 
 
 def test_random_spec_generator_is_effective():
