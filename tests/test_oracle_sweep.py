@@ -228,6 +228,20 @@ def test_burnside_double_sum_large_presets(spec):
     assert burnside_double_sum(spec) == len(spec.group) * assemble(spec).total_rank
 
 
+# Double sums of one seeded k = 10 spec per kind on 11 coordinates (1,024
+# distinct sign masks each), recorded with the per-pair loop over ordered
+# pairs of masks.
+K10_DOUBLE_SUMS = {"affine": 1048576, "projective": 11534336, "fermat_quadric": 9438208}
+
+
+@pytest.mark.parametrize("kind", NUM_COORDS)
+def test_burnside_double_sum_k10_pins(kind):
+    rng = random.Random(20261022)
+    rows = [[rng.randint(0, 1) for _ in range(11)] for _ in range(10)]
+    spec = make_spec(kind, 11 - NUM_COORDS[kind], rows)
+    assert burnside_double_sum(spec) == K10_DOUBLE_SUMS[kind]
+
+
 def test_closed_forms_match_oracles_random():
     rng = random.Random(20261020)
     ineffective = 0
