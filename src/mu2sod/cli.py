@@ -70,6 +70,8 @@ def _write(value, out: list[str], newline: str) -> None:
         out.append(_ENCODE_STR(value))
     elif value is None or value is True or value is False:
         out.append(_LITERALS[value])
+    elif isinstance(value, int):  # json.dumps writes any int subclass as int.__repr__
+        out.append(int.__repr__(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")

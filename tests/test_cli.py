@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 import shlex
@@ -417,6 +418,12 @@ def random_tree(rng, depth):
     return [random_tree(rng, depth - 1) for _ in range(width)]
 
 
+class Sign(enum.IntEnum):
+    MINUS = -1
+    PLUS = 1
+    BIG = 2**70
+
+
 def test_dump_matches_json_dumps_on_random_trees():
     rng = random.Random(83)
     for _ in range(400):
@@ -428,6 +435,13 @@ def test_dump_matches_json_dumps_on_random_trees():
         {True: 1, 2: 2, 1.5: 3, 10: [2**64, -(2**64)]},
         {'k"\\\x07é': ['v"\\\x07é', None]},
         [[True, 1], [1, True], (1, 2, 3), ()],
+        # int leaves outside all-int lists: zero, negatives, beyond 64 bits,
+        # an IntEnum member, and bools next to ints
+        {"zero": 0, "neg": -7, "big": 2**64 + 1, "enum": Sign.PLUS, "flag": True, "n": 1},
+        [0, -1, -(2**65), 2**64, Sign.MINUS, True, 1, False, 0, None],
+        [Sign.MINUS, Sign.PLUS, Sign.BIG],
+        {"x": [[0, True], [False, -3]], "y": {"z": Sign.BIG}},
+        {Sign.PLUS: "key", 0: Sign.MINUS, -2: [True, Sign.BIG]},
     ]
     for doc in fixed:
         assert cli._dump(doc) == reference_dump(doc)

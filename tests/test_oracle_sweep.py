@@ -12,15 +12,16 @@ patterns over the whole group.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from mu2sod.groups import is_effective, make_spec
+from mu2sod.groups import dot, is_effective, make_spec
 from mu2sod.inertia import classify_piece, components, twist_step
 from mu2sod.loci import LocusPiece, fixed_pieces
 from mu2sod.presets import pn_full, quadric
 from mu2sod.sod import assemble
-from mu2sod.verify import burnside_double_sum
+from mu2sod.verify import _sector_chi, burnside_double_sum
 
 NUM_COORDS = {"affine": 0, "projective": 1, "fermat_quadric": 2}
 
@@ -87,6 +88,24 @@ def oracle_double_sum(spec):
     return sum(
         chi_c_total(oracle_pieces(doc, (g, h), whole)) for g in spec.group for h in spec.group
     )
+
+
+def reference_double_sum(spec):
+    """The per-pair loop that ``burnside_double_sum`` replaced: every ordered
+    pair of distinct sign masks, weighted by their multiplicities, with each
+    of the four sectors' chi_c from ``_sector_chi``."""
+    full = (1 << spec.num_coords) - 1
+    masks = Counter(
+        sum(dot(chi, g) << i for i, chi in enumerate(spec.characters)) for g in spec.group
+    )
+    total = 0
+    for a, m in masks.items():
+        for b, n in masks.items():
+            sectors = (full & ~(a | b), a & ~b, b & ~a, a & b)
+            total += m * n * sum(
+                _sector_chi(spec.kind, s.bit_count(), i == 0) for i, s in enumerate(sectors)
+            )
+    return total
 
 
 def burnside_average(doc, piece):
@@ -215,6 +234,23 @@ def test_burnside_double_sum_matches_definition_random():
                 assert burnside_double_sum(spec) == oracle_double_sum(spec), spec.to_dict()
                 ineffective += not is_effective(spec)
     assert ineffective  # the sweep reaches non-effective actions
+
+
+def test_burnside_double_sum_matches_reference():
+    rng = random.Random(20261023)
+    repeated = Counter()
+    for kind in NUM_COORDS:
+        for k in range(9):
+            for _ in range(6 if k < 7 else 2):
+                spec = random_spec(rng, kind, k, max_dim=9)
+                assert burnside_double_sum(spec) == reference_double_sum(spec), spec.to_dict()
+                masks = {
+                    sum(dot(chi, g) << i for i, chi in enumerate(spec.characters))
+                    for g in spec.group
+                }
+                repeated[kind] += len(masks) < len(spec.group)
+    # every kind reaches actions where distinct elements share a sign mask
+    assert set(repeated) == set(NUM_COORDS) and all(repeated.values()), repeated
 
 
 @pytest.mark.parametrize("size", range(1, 7))

@@ -157,6 +157,24 @@ def test_check_gram_presets_failures(monkeypatch, case):
     assert result.actual == expected
 
 
+def test_check_gram_presets_builds_each_spec_once(monkeypatch):
+    seen = []
+    real = verify.gram_report
+
+    def counting(spec, report):
+        seen.append(spec)
+        return real(spec, report)
+
+    monkeypatch.setattr(verify, "gram_report", counting)
+    result = check_gram_presets()
+    assert result.status == PASS
+    # five names, four specs: p2-example and p2-full are equal
+    assert len(seen) == len(set(seen)) == 4
+    assert set(result.context["equal_dim_blocks_orthogonal"]) == {
+        "p1", "p2-example", "p2-full", "p3-full", "p4-full"
+    }
+
+
 def test_random_spec_generator_is_effective():
     rng = random.Random(1)
     for _ in range(30):
