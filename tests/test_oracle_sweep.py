@@ -5,10 +5,12 @@ non-effective ones included, and over the pn-full and quadric presets.
 ``verify.burnside_double_sum`` (which counts sign masks and builds no
 pieces) are checked here against a from-definition oracle that reads the
 signs straight from the spec document's action matrix and sums chi_c
-piece by piece.  The closed forms of ``inertia`` (ranks, pair splits,
-coarse types, twist steps) are checked against the same oracle: a
-per-component Burnside average and enumerations of the residual sign
-patterns over the whole group.
+piece by piece; that oracle is too slow beyond k = 5, so up to k = 8 the
+double sum is also checked against the per-pair loop it replaced
+(``reference_double_sum``).  The closed forms of ``inertia`` (ranks,
+pair splits, coarse types, twist steps) are checked against the same
+oracle: a per-component Burnside average and enumerations of the
+residual sign patterns over the whole group.
 """
 
 import random
