@@ -182,6 +182,63 @@ def test_analyze_table(capsys):
     assert "rank" in out
 
 
+UNDETERMINED_DOC = {"space": {"kind": "projective", "dim": 2}, "group_rank": 1, "action": [[1, 0, 0]]}
+
+ANALYZE_TABLES = {
+    "p2-example": """\
+pos   element  piece          dim  coarse           rank
+  0        00  P2[0,1,2]        2  P2                  3
+  1        10  P1[1,2]          1  P1                  2
+  2        01  P1[0,2]          1  P1                  2
+  3        11  P1[0,1]          1  P1                  2
+  4        10  pt[0]            0  pt                  1
+  5        01  pt[1]            0  pt                  1
+  6        11  pt[2]            0  pt                  1
+""",
+    "etale-4-3": """\
+pos   element  piece          dim  coarse           rank
+  0       000  A4[0,1,2,3]      4  A4                  1
+  1       100  A3[1,2,3]        3  A3                  1
+  2       010  A3[0,2,3]        3  A3                  1
+  3       001  A3[0,1,3]        3  A3                  1
+  4       110  A2[2,3]          2  A2                  1
+  5       101  A2[1,3]          2  A2                  1
+  6       011  A2[0,3]          2  A2                  1
+  7       111  A1[3]            1  A1                  1
+""",
+    "undetermined": """\
+pos   element  piece          dim  coarse           rank
+  0         0  P2[0,1,2]        2  undetermined(2)     3
+  1         1  P1[1,2]          1  P1                  2
+  2         1  pt[0]            0  pt                  1
+""",
+}
+
+
+def undetermined_spec_file(tmp_path) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(UNDETERMINED_DOC))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", list(ANALYZE_TABLES))
+def test_analyze_table_exact(tmp_path, capsys, name):
+    source = {
+        "p2-example": ["--preset", "p2-example"],
+        "etale-4-3": ["--preset", "etale", "--n", "4", "--k", "3"],
+        "undetermined": [undetermined_spec_file(tmp_path)],
+    }[name]
+    assert run(capsys, "analyze", *source) == (0, ANALYZE_TABLES[name])
+
+
+def test_gram_undetermined_is_an_input_error(tmp_path, capsys):
+    code = main(["gram", undetermined_spec_file(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: no canonical generators for coarse type undetermined(2)\n"
+
+
 def run_err(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().err

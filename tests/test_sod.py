@@ -2,7 +2,8 @@ import dataclasses
 import json
 import random
 
-from mu2sod.groups import make_spec
+from mu2sod.groups import dot, make_spec
+from mu2sod.inertia import components
 from mu2sod.presets import etale, p2_example, pn_full, quadric
 from mu2sod.sod import (
     assemble,
@@ -12,6 +13,7 @@ from mu2sod.sod import (
     report_to_dict,
 )
 from mu2sod.verify import random_effective_projective_spec
+from test_oracle_sweep import random_spec
 
 
 def test_p2_order_and_rank_ledger():
@@ -176,3 +178,40 @@ def test_report_dict_field_names():
     entry = doc["components"][0]
     assert set(entry) >= {"element", "support", "geometry", "dim", "coarse_type", "rank"}
     assert doc["total_rank"] == 12
+
+
+def reference_sector_sign(spec, comp):
+    """0 for the + sector of the component's element, 1 for the - sector."""
+    if not comp.piece.support:
+        return 0
+    return dot(spec.characters[comp.piece.support[0]], comp.element)
+
+
+def reference_order_key(spec, comp):
+    """The documented order, every tie-break spelled out."""
+    return (
+        -comp.piece.dim,
+        comp.element.bit_count(),
+        comp.element,
+        reference_sector_sign(spec, comp),
+        comp.split_index or 0,
+    )
+
+
+def test_order_matches_reference_key():
+    specs = [p2_example(), etale(4, 3)]
+    specs += [pn_full(n) for n in range(1, 7)] + [quadric(q) for q in range(1, 7)]
+    rng = random.Random(13)
+    kinds = ("affine", "projective", "fermat_quadric")
+    specs += [random_spec(rng, kinds[i % 3], rng.randint(0, 5), max_dim=5) for i in range(360)]
+    split_pairs = same_dim_sectors = non_effective = 0
+    for spec in specs:
+        comps = components(spec)
+        expected = sorted(comps, key=lambda c: reference_order_key(spec, c))
+        assert list(assemble(spec).components) == expected, spec
+        split_pairs += sum(c.split_index == 2 for c in comps)
+        dims = [(c.element, c.piece.dim) for c in comps if c.split_index is None]
+        same_dim_sectors += len(dims) - len(set(dims))
+        non_effective += not assemble(spec).effective
+    # the sweep reaches every tie the sector and split rules break
+    assert split_pairs and same_dim_sectors and non_effective
