@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import mutations, verify
 from .euler import EulerError, gram_report
 from .groups import ActionSpec, SpecError, bit_list, parse_spec
 from .presets import preset
-from .sod import assemble, msodc_plan, piece_label, report_to_dict
+from .sod import assemble, coarse_label, msodc_plan, piece_label, report_to_dict
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
 
@@ -39,8 +40,14 @@ def _emit(text: str, out_path: str | None) -> None:
                 fh.write(text + "\n")
         except OSError as exc:
             raise ValueError(f"cannot write {out_path}: {exc}") from exc
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # the interpreter's final flush of the unwritten rest must not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe is no error
+            raise ValueError(f"cannot write output: {exc}") from exc
 
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii
@@ -129,7 +136,7 @@ def cmd_analyze(args) -> int:
     for pos, comp in enumerate(report.components):
         lines.append(
             f"{pos:>3}  {_element_str(comp.element, spec.rank):>8}  {piece_label(comp):<14}"
-            f" {comp.coarse_dim:>3}  {comp.coarse_type.label():<16} {comp.rank:>4}"
+            f" {comp.piece.dim:>3}  {coarse_label(comp):<16} {comp.rank:>4}"
         )
     if not report.effective:
         lines.append(f"warning: nontrivial projective kernel of order {len(report.kernel)}")

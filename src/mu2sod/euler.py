@@ -53,7 +53,7 @@ from math import comb
 from .groups import ActionSpec, bit_list
 from .inertia import twist_step
 from .mutations import is_unipotent_upper
-from .sod import SodReport
+from .sod import SodReport, coarse_label
 
 
 class EulerError(ValueError):
@@ -239,18 +239,17 @@ def canonical_generators(
     objects: list[KObject] = []
     sizes: list[int] = []
     for comp in report.components:
-        ctype = comp.coarse_type
-        if ctype.kind == "projective":
+        if comp.coarse == "projective":
             step = twist_step(spec, comp.piece.support)
             block = [
                 KObject(comp.piece.support, step * t, 0)
-                for t in range(ctype.dim + 1)
+                for t in range(comp.piece.dim + 1)
             ]
-        elif ctype.kind == "point":
+        elif comp.coarse == "point":
             block = [KObject(comp.piece.support[:1], 0, 0)]
         else:
             raise EulerError(
-                f"no canonical generators for coarse type {ctype.label()}"
+                f"no canonical generators for coarse type {coarse_label(comp)}"
             )
         objects.extend(block)
         sizes.append(len(block))

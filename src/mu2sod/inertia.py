@@ -2,13 +2,17 @@
 
 For an abelian group every inertia component sits over a single group
 element g: it is a connected piece of the fixed locus of g together with
-the residual action of the whole group.  Per component we compute
+the residual action of the whole group.  Each component is one record:
+its element, its piece (of the coarse space's dimension), and
 
-* the coarse dimension (= dimension of the piece),
 * the rank, i.e. the Euler characteristic of the coarse moduli,
-* a coarse-moduli classification (affine space / projective space /
-  point) where the residual sign action makes the quotient recognizably
-  one of those, and an explicit "undetermined" tag otherwise.
+* a coarse-moduli kind (affine space / projective space / point) where
+  the residual sign action makes the quotient recognizably one of
+  those, and an explicit "undetermined" kind otherwise.
+
+``components`` lists them by element, the + sector before the - sector
+of one element, and the two halves of a split point pair in order;
+``sod.assemble`` relies on that order for its tie-break.
 
 All of it is read off the characters chi_i of the coordinates i in the
 piece's support T (t = |T|), without enumerating the group.  The map
@@ -52,34 +56,14 @@ from .groups import ActionSpec, f2_rank
 from .loci import AFFINE, EMPTY, FERMAT, POINT, POINT_PAIR, PROJ
 from .loci import LocusPiece, fixed_pieces
 
-SMOOTH = "smooth"
-UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class CoarseType:
-    kind: str  # "affine" | "projective" | "point" | "undetermined"
-    dim: int
-
-    def label(self) -> str:
-        if self.kind == "projective":
-            return f"P{self.dim}"
-        if self.kind == "affine":
-            return f"A{self.dim}"
-        if self.kind == "point":
-            return "pt"
-        return f"undetermined({self.dim})"
-
 
 @dataclass(frozen=True)
 class InertiaComponent:
     element: int
-    piece: LocusPiece
+    piece: LocusPiece  # the coarse space has dimension piece.dim
     split_index: int | None  # 1/2 for the halves of an unswapped point pair
-    coarse_dim: int
     rank: int
-    coarse_type: CoarseType
-    smooth: str
+    coarse: str  # "affine" | "projective" | "point" | "undetermined"
 
 
 def _rank_mod_scalar(spec: ActionSpec, coords: tuple[int, ...]) -> int:
@@ -88,8 +72,8 @@ def _rank_mod_scalar(spec: ActionSpec, coords: tuple[int, ...]) -> int:
     return f2_rank(spec.characters[i] ^ chi_0 for i in coords)
 
 
-def classify_piece(spec: ActionSpec, piece: LocusPiece) -> tuple[CoarseType, str]:
-    """Coarse-moduli type of the quotient of a fixed-locus piece.
+def classify_piece(spec: ActionSpec, piece: LocusPiece) -> str:
+    """Coarse-moduli kind of the quotient of a fixed-locus piece.
 
     Projective sectors: a trivial residual sign group leaves the piece
     untouched, and a full one (order 2^(|T|-1) mod scalars) maps it by
@@ -100,25 +84,19 @@ def classify_piece(spec: ActionSpec, piece: LocusPiece) -> tuple[CoarseType, str
     t = len(piece.support)
     if piece.kind == AFFINE:
         if t == 0:
-            return CoarseType("point", 0), SMOOTH
+            return "point"
         chars = [spec.characters[i] for i in piece.support]
         r = f2_rank(chars)
         flips = sum(f2_rank(chars[:j] + chars[j + 1:]) < r for j in range(t))
-        if flips == r:
-            return CoarseType("affine", t), SMOOTH
-        return CoarseType("undetermined", t), UNKNOWN
+        return "affine" if flips == r else "undetermined"
     if piece.kind in (POINT, POINT_PAIR):
-        return CoarseType("point", 0), SMOOTH
+        return "point"
     r = _rank_mod_scalar(spec, piece.support)
     full = r == t - 1
     if piece.kind == PROJ:
-        if r == 0 or full:
-            return CoarseType("projective", t - 1), SMOOTH
-        return CoarseType("undetermined", t - 1), UNKNOWN
+        return "projective" if r == 0 or full else "undetermined"
     if piece.kind == FERMAT:
-        if full:
-            return CoarseType("projective", t - 2), SMOOTH
-        return CoarseType("undetermined", t - 2), UNKNOWN
+        return "projective" if full else "undetermined"
     raise ValueError(f"cannot classify piece of kind {piece.kind!r}")
 
 
@@ -150,26 +128,19 @@ def _piece_rank(spec: ActionSpec, piece: LocusPiece) -> int:
 def _make_component(
     spec: ActionSpec, g: int, piece: LocusPiece, split_index: int | None
 ) -> InertiaComponent:
-    ctype, smooth = classify_piece(spec, piece)
+    coarse = classify_piece(spec, piece)
     rank = _piece_rank(spec, piece)
-    if ctype.kind == "projective" and rank != ctype.dim + 1:
+    if coarse == "projective" and rank != piece.dim + 1:
         raise ArithmeticError(
-            f"rank {rank} disagrees with projective coarse type P{ctype.dim}"
+            f"rank {rank} disagrees with projective coarse type P{piece.dim}"
         )
-    return InertiaComponent(
-        element=g,
-        piece=piece,
-        split_index=split_index,
-        coarse_dim=piece.dim,
-        rank=rank,
-        coarse_type=ctype,
-        smooth=smooth,
-    )
+    return InertiaComponent(g, piece, split_index, rank, coarse)
 
 
 def components(spec: ActionSpec) -> list[InertiaComponent]:
     """All inertia components: one per (element, nonempty fixed piece),
-    except that a point pair nobody swaps contributes two components."""
+    except that a point pair nobody swaps contributes two components.
+    Listed by element, + sector first, then by split index."""
     chars = spec.characters
     out = []
     for g in spec.group:

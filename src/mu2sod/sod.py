@@ -4,7 +4,9 @@ Components are sorted by weakly decreasing coarse dimension; ties break
 deterministically by (element weight ascending, element value
 ascending, + sector before - sector, split index).  Any refinement of
 the dimensional order is admissible, so the tie-break is a convention,
-fixed here once so reports are reproducible.
+fixed here once so reports are reproducible.  The sort key is only
+(dimension, weight): the sort is stable, and ``inertia.components``
+emits ties in the order of the rest of the tie-break.
 
 ``msodc_plan`` produces the leftward block moves that regroup the
 decomposition so all pieces of one group element sit together (blocks
@@ -18,8 +20,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import mutations
-from .groups import ActionSpec, bit_list, dot, projective_kernel
-from .inertia import InertiaComponent, SMOOTH, components
+from .groups import ActionSpec, bit_list, projective_kernel
+from .inertia import InertiaComponent, components
 
 
 @dataclass(frozen=True)
@@ -33,25 +35,15 @@ class SodReport:
     smoothness_warnings: tuple[int, ...]  # positions with unknown smoothness
 
 
-def _sector_sign(spec: ActionSpec, comp: InertiaComponent) -> int:
-    """0 for the + sector of the component's element, 1 for the - sector."""
-    if not comp.piece.support:
-        return 0
-    return dot(spec.characters[comp.piece.support[0]], comp.element)
-
-
-def order_key(spec: ActionSpec, comp: InertiaComponent):
-    return (
-        -comp.coarse_dim,
-        comp.element.bit_count(),
-        comp.element,
-        _sector_sign(spec, comp),
-        comp.split_index or 0,
-    )
+def _smoothness(comp: InertiaComponent) -> str:
+    """Smoothness of the coarse space, known wherever its kind is."""
+    return "unknown" if comp.coarse == "undetermined" else "smooth"
 
 
 def assemble(spec: ActionSpec) -> SodReport:
-    comps = sorted(components(spec), key=lambda c: order_key(spec, c))
+    # stable: components() lists ties by element, + sector before - sector,
+    # then split index, which is the rest of the documented tie-break
+    comps = sorted(components(spec), key=lambda c: (-c.piece.dim, c.element.bit_count()))
     grouping: dict[int, list[int]] = {}
     for pos, comp in enumerate(comps):
         grouping.setdefault(comp.element, []).append(pos)
@@ -64,7 +56,7 @@ def assemble(spec: ActionSpec) -> SodReport:
         effective=kernel == [0],
         kernel=tuple(kernel),
         smoothness_warnings=tuple(
-            pos for pos, c in enumerate(comps) if c.smooth != SMOOTH
+            pos for pos, c in enumerate(comps) if _smoothness(c) == "unknown"
         ),
     )
 
@@ -82,6 +74,13 @@ def piece_label(comp: InertiaComponent) -> str:
     return f"{names[comp.piece.kind]}[{support}]"
 
 
+def coarse_label(comp: InertiaComponent) -> str:
+    """Short tag of the coarse space, e.g. P2, A3, pt or undetermined(2)."""
+    dim = comp.piece.dim
+    names = {"affine": f"A{dim}", "projective": f"P{dim}", "point": "pt"}
+    return names.get(comp.coarse, f"undetermined({dim})")
+
+
 def report_to_dict(report: SodReport) -> dict:
     doc = report.spec.to_dict()
     k = report.spec.rank
@@ -90,11 +89,11 @@ def report_to_dict(report: SodReport) -> dict:
             "element": bit_list(c.element, k),
             "support": list(c.piece.support),
             "geometry": c.piece.kind,
-            "dim": c.coarse_dim,
-            "coarse_type": {"kind": c.coarse_type.kind, "dim": c.coarse_type.dim},
+            "dim": c.piece.dim,
+            "coarse_type": {"kind": c.coarse, "dim": c.piece.dim},
             "rank": c.rank,
             "split_index": c.split_index,
-            "smooth": c.smooth,
+            "smooth": _smoothness(c),
             "label": piece_label(c),
         }
         for c in report.components

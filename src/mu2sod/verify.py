@@ -61,7 +61,7 @@ def check_etale(n: int, k: int) -> CheckResult:
     report = assemble(etale(n, k))
     dims: dict[int, int] = {}
     for comp in report.components:
-        dims[comp.coarse_dim] = dims.get(comp.coarse_dim, 0) + 1
+        dims[comp.piece.dim] = dims.get(comp.piece.dim, 0) + 1
     actual = {
         "pieces": len(report.components),
         "ranks": sorted({c.rank for c in report.components}),
@@ -150,11 +150,7 @@ def check_quadric(q_dim: int) -> CheckResult:
     burnside = check_burnside_total(spec, report)
     oracle_total = burnside.expected if burnside.status == PASS else None
     bad_types = sorted(
-        {
-            c.coarse_type.kind
-            for c in report.components
-            if c.coarse_type.kind not in ("projective", "point")
-        }
+        {c.coarse for c in report.components if c.coarse not in ("projective", "point")}
     )
     actual = {"unclassified": bad_types, "count": report.total_rank}
     expected = {"unclassified": [], "count": oracle_total}
@@ -207,13 +203,13 @@ def check_gram_presets() -> CheckResult:
 
         for comp, lo, hi in zip(report.components, starts, starts[1:]):
             diag = [list(row[lo:hi]) for row in matrix[lo:hi]]
-            m = comp.coarse_type.dim if comp.coarse_type.kind == "projective" else 0
+            m = comp.piece.dim  # 0 for a point block
             size = hi - lo
             want = [[comb(m + b - a, m) if b >= a else 0 for b in range(size)] for a in range(size)]
             if diag != want:
                 failures.append(f"{name}: diagonal block {diag} != binomial {want}")
         # equal-dimension blocks should pair to zero both ways
-        dims = [c.coarse_dim for c in report.components]
+        dims = [c.piece.dim for c in report.components]
         crossed = [
             (a, b)
             for a in range(len(dims))

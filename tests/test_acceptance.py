@@ -37,7 +37,7 @@ def test_criterion_1_etale_structure():
             if len(report.components) != 1 << k or report.total_rank != 1 << k:
                 failures.append((n, k, "count or rank"))
             expected_dims = sorted(n - g.bit_count() for g in range(1 << k))
-            if sorted(c.coarse_dim for c in report.components) != expected_dims:
+            if sorted(c.piece.dim for c in report.components) != expected_dims:
                 failures.append((n, k, "dimension multiset"))
             if check_etale(n, k).status != PASS:
                 failures.append((n, k, "verify check"))
@@ -48,7 +48,7 @@ def test_criterion_2_p2_example():
     start = time.time()
     failures = []
     report = assemble(p2_example())
-    by_dim = {d: sum(1 for c in report.components if c.coarse_dim == d) for d in (2, 1, 0)}
+    by_dim = {d: sum(1 for c in report.components if c.piece.dim == d) for d in (2, 1, 0)}
     if len(report.components) != 7 or by_dim != {2: 1, 1: 3, 0: 3}:
         failures.append(f"components {by_dim}")
     if report.total_rank != 12:
@@ -157,7 +157,7 @@ def test_criterion_6_quadric_pipeline():
     for q_dim in range(1, 6):
         spec = quadric(q_dim)
         report = assemble(spec)
-        bad = [c.coarse_type.kind for c in report.components if c.coarse_type.kind not in ("projective", "point")]
+        bad = [c.coarse for c in report.components if c.coarse not in ("projective", "point")]
         if bad:
             failures.append((q_dim, f"unclassified {bad}"))
         order = 1 << spec.rank

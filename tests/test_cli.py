@@ -1,7 +1,10 @@
 import enum
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -271,6 +274,36 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys):
         assert code == 2, argv
         assert err.startswith(f"error: cannot write {target}")
     assert not target.parent.exists()
+
+
+def cli_process(*argv, stdout) -> subprocess.Popen:
+    """``python -m mu2sod.cli`` in a child process, stderr piped."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    command = [sys.executable, "-m", "mu2sod.cli", *argv]
+    return subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--preset", "pn-full", "--n", "10"], ["sod", "--json", "--preset", "pn-full", "--n", "5"]],
+    ids=["analyze", "sod-json"],
+)
+def test_closed_stdout_pipe_is_quiet(argv):
+    # about 100 kB of output, more than a pipe holds: the writer meets the closed end
+    with cli_process(*argv, stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_stdout_is_an_input_error():
+    with open("/dev/full", "w") as full, cli_process("analyze", "--preset", "p2-example", stdout=full) as proc:
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
 DEEP = "[" * 200_000

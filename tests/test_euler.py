@@ -239,9 +239,9 @@ def test_fully_faithful_shadow_binomials():
     for spec in [p2_example(), pn_full(2), pn_full(3), pn_full(4)]:
         report = assemble(spec)
         for comp in report.components:
-            if comp.coarse_type.kind != "projective":
+            if comp.coarse != "projective":
                 continue
-            m = comp.coarse_type.dim
+            m = comp.piece.dim
             from mu2sod.inertia import twist_step
 
             step = twist_step(spec, comp.piece.support)

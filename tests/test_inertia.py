@@ -5,6 +5,7 @@ import pytest
 
 from mu2sod.groups import dot, f2_rank, make_spec
 from mu2sod.inertia import classify_piece, components, twist_step
+from mu2sod.sod import _smoothness
 from mu2sod.loci import LocusPiece, fixed_pieces
 from mu2sod.presets import etale, p2_example, pn_full, quadric
 from test_oracle_sweep import chi_c_total
@@ -25,11 +26,11 @@ def burnside_by_pairs(spec, comp):
 def test_p2_example_components():
     comps = components(p2_example())
     assert len(comps) == 7
-    by_dim = Counter(c.coarse_dim for c in comps)
+    by_dim = Counter(c.piece.dim for c in comps)
     assert by_dim == {2: 1, 1: 3, 0: 3}
-    assert [c.rank for c in comps if c.coarse_dim == 2] == [3]
-    assert all(c.rank == 2 for c in comps if c.coarse_dim == 1)
-    assert all(c.rank == 1 for c in comps if c.coarse_dim == 0)
+    assert [c.rank for c in comps if c.piece.dim == 2] == [3]
+    assert all(c.rank == 2 for c in comps if c.piece.dim == 1)
+    assert all(c.rank == 1 for c in comps if c.piece.dim == 0)
     # the point and the line of one nontrivial element pair up as in the
     # fixed-locus list {p} u V(x)
     for g in [0b01, 0b10, 0b11]:
@@ -42,7 +43,7 @@ def test_etale_component_count_and_dims(n):
     for k in range(n + 1):
         comps = components(etale(n, k))
         assert len(comps) == 1 << k
-        dims = Counter(c.coarse_dim for c in comps)
+        dims = Counter(c.piece.dim for c in comps)
         expected = Counter(n - g.bit_count() for g in range(1 << k))
         assert dims == expected
         assert all(c.rank == 1 for c in comps)
@@ -54,7 +55,7 @@ def test_quadric_merged_pairs():
     assert len(comps) == 2
     assert all(c.piece.kind == "point_pair" for c in comps)
     assert all(c.split_index is None for c in comps)  # merged, not split
-    assert all(c.rank == 1 and c.coarse_dim == 0 for c in comps)
+    assert all(c.rank == 1 and c.piece.dim == 0 for c in comps)
 
 
 def test_split_pair_on_duplicate_characters():
@@ -89,7 +90,7 @@ def test_swap_criterion():
 def test_coarse_chi_p2_by_hand():
     spec = p2_example()
     comps = components(spec)
-    plane = next(c for c in comps if c.coarse_dim == 2)
+    plane = next(c for c in comps if c.piece.dim == 2)
     # oracle: Burnside sum written out directly over the group
     total = 0
     for h in spec.group:
@@ -97,7 +98,7 @@ def test_coarse_chi_p2_by_hand():
         total += sizes[0] + sizes[1]
     assert total == 12
     assert burnside_by_pairs(spec, plane) == plane.rank == total // 4 == 3
-    line = next(c for c in comps if c.coarse_dim == 1)
+    line = next(c for c in comps if c.piece.dim == 1)
     assert burnside_by_pairs(spec, line) == line.rank == 2
 
 
@@ -134,17 +135,17 @@ def test_burnside_integrality_random():
 def test_coarse_types_p2():
     spec = p2_example()
     comps = components(spec)
-    plane = next(c for c in comps if c.coarse_dim == 2)
-    assert (plane.coarse_type.kind, plane.coarse_type.dim) == ("projective", 2)
-    assert plane.smooth == "smooth"
-    assert classify_piece(spec, plane.piece) == (plane.coarse_type, "smooth")
+    plane = next(c for c in comps if c.piece.dim == 2)
+    assert (plane.coarse, plane.piece.dim) == ("projective", 2)
+    assert _smoothness(plane) == "smooth"
+    assert classify_piece(spec, plane.piece) == plane.coarse
 
 
 def test_coarse_type_quadric_untwisted():
     spec = quadric(2)
     untwisted = next(c for c in components(spec) if c.element == 0)
-    assert untwisted.coarse_type.kind == "projective"
-    assert untwisted.coarse_type.dim == 2
+    assert untwisted.coarse == "projective"
+    assert untwisted.piece.dim == 2
     assert untwisted.rank == 3
 
 
@@ -153,9 +154,9 @@ def test_coarse_type_undetermined_projective():
     # P(2,1,1), which the classification rule correctly refuses to call smooth
     spec = make_spec("projective", 2, [[1, 0, 0]])
     untwisted = next(c for c in components(spec) if c.element == 0)
-    assert untwisted.coarse_type.kind == "undetermined"
-    assert untwisted.coarse_type.dim == 2
-    assert untwisted.smooth == "unknown"
+    assert untwisted.coarse == "undetermined"
+    assert untwisted.piece.dim == 2
+    assert _smoothness(untwisted) == "unknown"
     assert untwisted.rank == 3  # rank needs no classification
 
 
@@ -163,25 +164,25 @@ def test_coarse_type_trivial_residual_is_projective():
     # trivial group: the single component is the space itself
     spec = make_spec("projective", 2, [])
     (comp,) = components(spec)
-    assert comp.coarse_type.kind == "projective"
-    assert comp.smooth == "smooth"
+    assert comp.coarse == "projective"
+    assert _smoothness(comp) == "smooth"
     assert comp.rank == 3
 
 
 def test_affine_coarse_types():
     comps = components(etale(3, 2))
     assert all(
-        c.coarse_type.kind in ("affine", "point") and c.smooth == "smooth"
+        c.coarse in ("affine", "point") and _smoothness(c) == "smooth"
         for c in comps
     )
     # non-reflection sign action: A^2 / (x,y) -> (-x,-y) has a singular quotient
     spec = make_spec("affine", 2, [[1, 1]])
     untwisted = next(c for c in components(spec) if c.element == 0)
-    assert untwisted.coarse_type.kind == "undetermined"
-    assert untwisted.smooth == "unknown"
+    assert untwisted.coarse == "undetermined"
+    assert _smoothness(untwisted) == "unknown"
     assert untwisted.rank == 1
     origin = next(c for c in components(spec) if c.element == 1)
-    assert origin.coarse_type.kind == "point"
+    assert origin.coarse == "point"
 
 
 def test_residual_signs_mod_scalar():
@@ -211,8 +212,8 @@ def test_projective_rank_cross_check():
     # two independent paths: Burnside average vs projective coarse dim + 1
     for spec in [p2_example(), pn_full(3), quadric(2)]:
         for comp in components(spec):
-            if comp.coarse_type.kind == "projective":
-                assert comp.rank == comp.coarse_type.dim + 1
+            if comp.coarse == "projective":
+                assert comp.rank == comp.piece.dim + 1
                 assert burnside_by_pairs(spec, comp) == comp.rank
 
 
@@ -226,11 +227,10 @@ def test_component_invariants_random():
         rows = [[rng.randint(0, 1) for _ in range(c)] for _ in range(k)]
         for comp in components(make_spec(kind, dim, rows)):
             assert comp.rank >= 1
-            assert comp.coarse_dim == comp.piece.dim
-            assert (comp.coarse_type.kind == "point") == (comp.coarse_dim == 0)
-            if comp.coarse_type.kind == "projective":
-                assert comp.rank == comp.coarse_type.dim + 1
-            if comp.coarse_type.kind in ("affine", "point"):
+            assert (comp.coarse == "point") == (comp.piece.dim == 0)
+            if comp.coarse == "projective":
+                assert comp.rank == comp.piece.dim + 1
+            if comp.coarse in ("affine", "point"):
                 assert comp.rank == 1
 
 

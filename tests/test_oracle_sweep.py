@@ -22,7 +22,7 @@ from mu2sod.groups import dot, is_effective, make_spec
 from mu2sod.inertia import classify_piece, components, twist_step
 from mu2sod.loci import LocusPiece, fixed_pieces
 from mu2sod.presets import pn_full, quadric
-from mu2sod.sod import assemble
+from mu2sod.sod import _smoothness, assemble
 from mu2sod.verify import _sector_chi, burnside_double_sum
 
 NUM_COORDS = {"affine": 0, "projective": 1, "fermat_quadric": 2}
@@ -185,9 +185,9 @@ def check_components(spec):
         halves = 2 if comp.split_index else 1
         assert comp.rank * halves == burnside_average(doc, piece), (doc, comp)
         (kind, dim), smooth = oracle_classify(doc, piece)
-        ctype, csmooth = classify_piece(spec, piece)
-        assert (ctype.kind, ctype.dim, csmooth) == (kind, dim, smooth), (doc, comp)
-        assert (comp.coarse_type, comp.smooth) == (ctype, csmooth)
+        coarse = classify_piece(spec, piece)
+        assert (coarse, piece.dim, _smoothness(comp)) == (kind, dim, smooth), (doc, comp)
+        assert comp.coarse == coarse
         if piece.kind in ("projective", "fermat"):
             expected = oracle_twist_step(doc, piece.support)
             if expected is None:

@@ -46,7 +46,7 @@ def test_etale_preset_counts():
         assert len(report.components) == 1 << k
         assert report.total_rank == 1 << k
         for j in range(k + 1):
-            assert sum(1 for c in report.components if c.coarse_dim == n - j) == comb(k, j)
+            assert sum(1 for c in report.components if c.piece.dim == n - j) == comb(k, j)
 
 
 def test_order_weakly_decreasing_in_dim():
@@ -55,7 +55,7 @@ def test_order_weakly_decreasing_in_dim():
     specs += [random_effective_projective_spec(rng) for _ in range(20)]
     for spec in specs:
         report = assemble(spec)
-        dims = [c.coarse_dim for c in report.components]
+        dims = [c.piece.dim for c in report.components]
         assert dims == sorted(dims, reverse=True)
 
 
