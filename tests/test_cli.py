@@ -1,4 +1,5 @@
 import enum
+import hashlib
 import json
 import os
 import random
@@ -542,6 +543,31 @@ def test_dump_matches_json_dumps_on_random_trees():
         cli._dump({(1, 2): 3})
 
 
+class Count(int):
+    """An int subclass that is not an enum."""
+
+
+def test_dump_int_lists_match_json_dumps():
+    docs = [
+        [-257, -256, 256, 257],  # either side of each edge of a small-int table
+        [-256, -1, 0, 1, 256],
+        [-257],
+        [257],
+        list(range(-260, 261)),
+        [2**100, -(2**100), 0],  # very large ints
+        [10**40, 5, -(10**40)],
+        [True, 1, False, 0, -256, 257],  # bools next to ints
+        [1, True],
+        [False, -257],
+        [Count(3), Count(300), 1],  # int subclasses
+        (Count(-1), Count(-257)),
+        [Sign.MINUS, 256, 257, Sign.BIG],
+        {"rows": [[-256, 256], [-257, 257], [10**30], [0, True]]},
+    ]
+    for doc in docs:
+        assert cli._dump(doc) == reference_dump(doc), doc
+
+
 def test_dump_matches_json_dumps_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -578,3 +604,31 @@ def test_readme_commands_run(capsys):
     for argv in commands:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+# SHA-256 of the help text per (terminal columns, subcommand); the same
+# on Python 3.10 and 3.11
+HELP_DIGESTS = {
+    (60, ()): "1d66a159375bddb9442b7810d7377261ad310e2fb43305a7d5167142b09803b6",
+    (60, ("analyze",)): "ad1333ed431452063fb41d8239706de0e5c454a3aa2d7181ffdf9e441784923c",
+    (60, ("sod",)): "33eedab646ff84a2611982e990063f7f6cea92531574a8a87d3a65d106811d54",
+    (60, ("gram",)): "c78d4a05610600c427801633318d47ee0ddc7c189d1cd3f162b8f9785acdc93c",
+    (60, ("mutate",)): "d36156648a3e15b5a14b3a8e4172b7e66855ea7d264aa2ee9608142e27b3342f",
+    (60, ("verify",)): "f7434d24181748ba30a6822ab5b2084b1265f17d99e5cf8548f15aba8bdb7654",
+    (120, ()): "e3ac125cedbc3860a94377f6545896bf83e4ab445e813b1ab3f667903442cafa",
+    (120, ("analyze",)): "637f16c1ece67813013a78cf34fbfec4330bc0a9409bee96ffb22ce16671741b",
+    (120, ("sod",)): "7c8762762f0cec34be8f809d2a7cd840ca2dad21b96071ece2caa5b1a783a569",
+    (120, ("gram",)): "439e2af75ca6898b52c8519c8d3217d84bd366913a286a9539319122ad31ba31",
+    (120, ("mutate",)): "6c90acf80367bafb3b099a3f10aa5df30dde84e2d51239efbf6318b2cf8927ef",
+    (120, ("verify",)): "b0c2f35d8739021ece392eec72424706f448bb7370a3b10fb01aa675ac51934a",
+}
+
+
+@pytest.mark.parametrize("columns, command", sorted(HELP_DIGESTS))
+def test_help_text_pinned(monkeypatch, capsys, columns, command):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[columns, command], text

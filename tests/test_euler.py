@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -65,6 +66,45 @@ def test_cohomology_against_enumeration():
                     assert cohomology(spec, support, e) == brute_cohomology(
                         spec, support, e
                     ), (support, e)
+
+
+def reference_cohomology(chars, rank, e):
+    """Reference for ``euler._cohomology_entries``: the dense H^* vector of
+    P^(t-1), one slot per character value, filled from a flat table of
+    (subset size, character value) counts."""
+    t = len(chars)
+    out = [0] * (1 << rank)
+    if 1 - t <= e <= -1:
+        return tuple(out)
+    subsets = [(0, 0)]
+    for cv in chars:
+        subsets += [(size + 1, value ^ cv) for size, value in subsets]
+    negative = e < 0
+    degree = -e if negative else e
+    sign = (-1) ** (t - 1) if negative else 1
+    for (size, value), count in Counter(subsets).items():
+        # exponents are >= 1 when negative: odd slots start at 1, even slots at 2
+        doubled = degree - size - (2 * (t - size) if negative else 0)
+        if doubled >= 0 and doubled % 2 == 0:
+            out[value] += sign * count * comb(doubled // 2 + t - 1, t - 1)
+    return tuple(out)
+
+
+def test_cohomology_entries_match_dense_reference():
+    rng = random.Random(89)
+    cases = 0
+    repeated = False  # then one character value is reached by subsets of two sizes
+    while cases < 20_000:
+        rank = rng.randint(0, 5)
+        chars = tuple(rng.randrange(1 << rank) for _ in range(rng.randint(1, 7)))
+        for e in range(-15, 16):
+            dense = reference_cohomology(chars, rank, e)
+            expected = [(x, m) for x, m in enumerate(dense) if m]
+            entries = euler._cohomology_entries(chars, rank, e)
+            assert sorted(entries) == expected, (chars, rank, e)
+            cases += 1
+        repeated = repeated or len(set(chars)) < len(chars)
+    assert repeated
 
 
 def test_cohomology_p2_examples():

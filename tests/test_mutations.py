@@ -6,8 +6,10 @@ from operator import mul
 import pytest
 
 from mu2sod.euler import gram_report
+from mu2sod import mutations
 from mu2sod.mutations import (
     ExceptionalSequence,
+    Move,
     apply_script,
     blocks_orthogonal,
     determinant,
@@ -372,6 +374,30 @@ def test_sequence_from_dict_rejects_non_integers():
     assert sequence_from_dict(good) == identity_sequence(B_UPPER)
 
 
+def test_int_list_accepts_exactly_ints_and_int_subclasses():
+    class Count(int):
+        pass
+
+    accepted = [[], [0], [1, -2, 2**70], [Count(3)], [Count(1), 2]]
+    for value in accepted:
+        assert mutations._int_list(value, "x") == tuple(value)
+    rejected = [
+        [True],
+        [1, False],
+        [1.0],
+        [1, 2.5],
+        ["1"],
+        [1, None],
+        [[1]],
+        (1, 2),  # a list, not a tuple
+        "12",
+        None,
+    ]
+    for value in rejected:
+        with pytest.raises(ValueError):
+            mutations._int_list(value, "x")
+
+
 def test_parse_script_rejects_bad_moves():
     for move in [
         {"block": "0", "direction": "left"},
@@ -488,3 +514,117 @@ def test_final_checks_match_dense_references_on_plan_final_sequences():
         )
         assert final.vectors != seq.vectors
         assert assert_checks_match_references(final.form, final.vectors) in (1, -1)
+
+
+def reference_orthogonal(g, left, right):
+    """Whether two position ranges pair to zero both ways in G = ``g``."""
+    (ls, le), (rs, re) = left, right
+    return not any(any(g[i][rs:re]) for i in range(ls, le)) and not any(
+        any(g[j][ls:le]) for j in range(rs, re)
+    )
+
+
+class ReferenceReplay:
+    """Reference for ``mutations._Replay``: vectors and G kept in position
+    order, so a braid swaps two entries in every row of G and a move reads
+    its flag off contiguous ranges."""
+
+    def __init__(self, seq):
+        self.form = seq.form
+        self.vectors = [list(v) for v in seq.vectors]
+        self.gram = [list(r) for r in seq.gram]
+        self.blocks = list(seq.blocks)
+
+    def freeze(self):
+        vectors, gram = tuple(map(tuple, self.vectors)), tuple(map(tuple, self.gram))
+        return ExceptionalSequence(self.form, vectors, tuple(self.blocks), gram)
+
+    def braid(self, p, target):
+        q = p + 1
+        source = p + q - target
+        vectors, gram = self.vectors, self.gram
+        c = gram[p][q]
+        for rows in (vectors, gram):
+            rows[p], rows[q] = rows[q], rows[p]
+        for row in gram:
+            row[p], row[q] = row[q], row[p]
+        if c:
+            for rows in (vectors, gram):
+                rows[target] = [x - c * y for x, y in zip(rows[target], rows[source])]
+            for row in gram:
+                row[target] -= c * row[source]
+
+    def move(self, block, direction):
+        blocks = self.blocks
+        other = block - 1 if direction == "left" else block + 1
+        first = min(block, other)
+        start = sum(blocks[:first])
+        middle = start + blocks[first]
+        end = middle + blocks[first + 1]
+        orthogonal = reference_orthogonal(self.gram, (start, middle), (middle, end))
+        if direction == "left":
+            for j in range(blocks[block]):
+                for pos in range(middle + j - 1, start + j - 1, -1):
+                    self.braid(pos, pos)
+        else:
+            for j in range(blocks[block]):
+                for pos in range(middle - 1 - j, end - 1 - j):
+                    self.braid(pos, pos + 1)
+        blocks[block], blocks[other] = blocks[other], blocks[block]
+        return Move(block, direction, orthogonal)
+
+
+def assert_same_sequence(seq, expected):
+    assert seq.vectors == expected.vectors
+    assert seq.gram == expected.gram
+    assert seq.blocks == expected.blocks
+
+
+def assert_replay_matches_reference(seq, script):
+    final, records = apply_script(seq, script)
+    reference = ReferenceReplay(seq)
+    expected_records = [reference.move(m["block"], m["direction"]) for m in script]
+    assert_same_sequence(final, reference.freeze())
+    assert records == expected_records
+    return records
+
+
+def test_replay_matches_reference_on_random_forms():
+    rng = random.Random(97)
+    flags, diagonals = set(), set()
+    for trial in range(150):
+        n = rng.randint(2, 10)
+        blocks = random_partition(rng, n)
+        if len(blocks) < 2:
+            continue
+        # not unipotent: any diagonal, entries on both sides of it; short
+        # scripts, since entries can square with every braid
+        form = random_matrix(rng, n, (1.0, 0.4, 0.15)[trial % 3], -2, 2)
+        diagonals.update(form[i][i] for i in range(n))
+        seq = identity_sequence(form, blocks)
+        script = random_block_script(rng, blocks, rng.randint(1, 6))
+        flags.update(r.orthogonal for r in assert_replay_matches_reference(seq, script))
+        # elementary mutations, one replay each
+        for _ in range(4):
+            i = rng.randint(1, n - 1)
+            reference = ReferenceReplay(seq)
+            reference.braid(i - 1, i - 1)
+            assert_same_sequence(mutate_left(seq, i), reference.freeze())
+            reference = ReferenceReplay(seq)
+            reference.braid(i - 1, i)
+            assert_same_sequence(mutate_right(seq, i - 1), reference.freeze())
+    assert flags == {False, True}
+    assert len(diagonals - {1}) > 2
+
+
+def test_replay_matches_reference_on_plan_scripts():
+    from mu2sod.presets import pn_full
+
+    for n in (3, 4, 5):
+        spec = pn_full(n)
+        report = assemble(spec)
+        result = gram_report(spec, report)
+        seq = identity_sequence(result.matrix, tuple(c.rank for c in report.components))
+        script = [{"block": m.block, "direction": m.direction} for m in msodc_plan(report).moves]
+        records = assert_replay_matches_reference(seq, script)
+        assert {r.orthogonal for r in records} == {False, True}
