@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
+import shutil
 import sys
 
 from . import mutations, verify
@@ -52,6 +54,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii
 _LITERALS = {None: "null", True: "true", False: "false"}
+# the text of the small ints that Gram matrices and sequence rows are made of
+_INT_TEXT = {i: int.__repr__(i) for i in range(-256, 257)}
 
 
 def _dump(doc) -> str:
@@ -95,7 +99,12 @@ def _write(value, out: list[str], newline: str) -> None:
             return
         inner = newline + "  "
         if {*map(type, value)} == {int}:  # bools keep the general path
-            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+            separator = "," + inner
+            try:
+                text = separator.join(map(_INT_TEXT.__getitem__, value))
+            except KeyError:  # an entry beyond the table
+                text = separator.join(map(int.__repr__, value))
+            out.append(f"[{inner}{text}{newline}]")
             return
         opener = "["
         for item in value:
@@ -274,12 +283,21 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse reads the terminal width once per formatter, and every
+    # add_argument builds one; read it once, as HelpFormatter would
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="mu2sod",
         description="Inertia components, semiorthogonal decompositions, and "
         "K-theoretic checks for diagonal mu_2^k actions.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, formatter_class=formatter)
 
     def add_common(p):
         p.add_argument("input", nargs="?", help="action-spec JSON document")
@@ -290,17 +308,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="structured output")
         p.add_argument("--out", help="write output to a file")
 
-    add_common(sub.add_parser("analyze", help="list inertia components"))
-    add_common(sub.add_parser("sod", help="ordered decomposition and regrouping plan"))
-    add_common(sub.add_parser("gram", help="canonical-generator Gram matrix"))
+    add_common(add_command("analyze", "list inertia components"))
+    add_common(add_command("sod", "ordered decomposition and regrouping plan"))
+    add_common(add_command("gram", "canonical-generator Gram matrix"))
 
-    mutate = sub.add_parser("mutate", help="apply a mutation script to a sequence")
+    mutate = add_command("mutate", "apply a mutation script to a sequence")
     mutate.add_argument("input", help="serialized sequence JSON (form, vectors, blocks)")
     mutate.add_argument("--script", required=True, help="mutation script JSON")
     mutate.add_argument("--json", action="store_true")
     mutate.add_argument("--out")
 
-    ver = sub.add_parser("verify", help="run oracle checks")
+    ver = add_command("verify", "run oracle checks")
     add_common(ver)
     ver.add_argument("--check", help=f"named check ({', '.join(_CHECKS)})")
     return parser

@@ -11,7 +11,8 @@ the G-invariant Euler pairing:
   top cohomology (e <= -|T|) is spanned by inverse monomials with all
   exponents >= 1 and contributes with sign (-1)^(|T|-1); everything in
   between vanishes.  Multiplicities are counted per parity class of the
-  exponent vector, not by enumerating monomials.
+  exponent vector, not by enumerating monomials, and only the nonzero
+  (character, multiplicity) entries are kept.
 * ``koszul``: the equivariant Koszul resolution of O_{P(V_T)}(d) chi by
   ambient line bundles, one term per subset of the complementary
   coordinates.
@@ -30,17 +31,20 @@ summed per (twist, character), at most 2^c keys on c coordinates and
 fewer when coordinates share a character.  Objects of one block share a
 complement, hence one enumeration.  It then inverts the targets once per
 matrix: for every twist in some profile and every target, the nonzero
-entries of one cohomology vector (at most 2^k on mu_2^k) are filed under
-the profile key they pair with.  A row is a sparse sum over its
-profile's keys, so the matrix costs one index plus work proportional to
-the nonzero (profile term, index entry) matches; there is no per-pair
-expansion and no cache lookup per (pair, term).  Twisting an object by a
-character only XORs its profile keys, so ``character_normalization``
-tests every twist of a block against its own index of the objects
-already placed, and extends that index by each accepted block.
-``gram_report`` composes the two: when the trivial choice is not
-triangular and twists are found, it recomputes the Gram of the twisted
-objects.
+entries of one cohomology group (at most 2^k on mu_2^k) are filed under
+the profile key they pair with.  Those entries come straight from the
+parity table, laid out per subset size: each size that contributes
+multiplies one binomial by its (character, count) classes, so a cache
+miss costs the table's classes, not a dense 2^k vector.  A row is a
+sparse sum over its profile's keys, so the matrix costs one index plus
+work proportional to the nonzero (profile term, index entry) matches;
+there is no per-pair expansion and no cache lookup per (pair, term).
+Twisting an object by a character only XORs its profile keys, so
+``character_normalization`` tests every twist of a block against its own
+index of the objects already placed, and extends that index by each
+accepted block.  ``gram_report`` composes the two: when the trivial
+choice is not triangular and twists are found, it recomputes the Gram of
+the twisted objects.
 """
 
 from __future__ import annotations
@@ -93,32 +97,39 @@ def _char_values(spec: ActionSpec, support) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _parity_classes(chars: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """(size, character value, count) over the subsets of the coordinates:
-    the odd slots of an exponent vector and the character they carry."""
+def _parity_classes(chars: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per subset size, the (character value, count) classes of the
+    subsets of the coordinates: the odd slots of an exponent vector and
+    the character they carry."""
     subsets = [(0, 0)]
     for cv in chars:
         subsets += [(size + 1, value ^ cv) for size, value in subsets]
-    return tuple((size, value, count) for (size, value), count in Counter(subsets).items())
+    per_size: list[list[tuple[int, int]]] = [[] for _ in range(len(chars) + 1)]
+    for (size, value), count in Counter(subsets).items():
+        per_size[size].append((value, count))
+    return tuple(map(tuple, per_size))
 
 
 @lru_cache(maxsize=None)
-def _cohomology(chars: tuple[int, ...], rank: int, e: int) -> tuple[int, ...]:
-    """Virtual character vector of H^*(P^(t-1), O(e)), indexed by
-    character value; ``chars`` are the coordinate character values."""
+def _cohomology_entries(chars: tuple[int, ...], e: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (character value, multiplicity) pairs of H^*(P^(t-1), O(e));
+    ``chars`` are the coordinate character values."""
     t = len(chars)
-    out = [0] * (1 << rank)
     if 1 - t <= e <= -1:
-        return tuple(out)
+        return ()
     negative = e < 0
     degree = -e if negative else e
     sign = (-1) ** (t - 1) if negative else 1
-    for size, value, count in _parity_classes(chars):
+    entries: dict[int, int] = {}
+    for size, classes in enumerate(_parity_classes(chars)):
         # exponents are >= 1 when negative: odd slots start at 1, even slots at 2
         doubled = degree - size - (2 * (t - size) if negative else 0)
         if doubled >= 0 and doubled % 2 == 0:
-            out[value] += sign * count * comb(doubled // 2 + t - 1, t - 1)
-    return tuple(out)
+            # one binomial per size; every term has the sign of H^*, so no sum vanishes
+            factor = sign * comb(doubled // 2 + t - 1, t - 1)
+            for value, count in classes:
+                entries[value] = entries.get(value, 0) + factor * count
+    return tuple(entries.items())
 
 
 def cohomology(spec: ActionSpec, support: tuple[int, ...], e: int) -> tuple[int, ...]:
@@ -127,7 +138,10 @@ def cohomology(spec: ActionSpec, support: tuple[int, ...], e: int) -> tuple[int,
     support = tuple(sorted(support))
     if not support:
         raise EulerError("cohomology needs a nonempty support")
-    return _cohomology(_char_values(spec, support), spec.rank, e)
+    out = [0] * (1 << spec.rank)
+    for value, m in _cohomology_entries(_char_values(spec, support), e):
+        out[value] = m
+    return tuple(out)
 
 
 def koszul(spec: ActionSpec, obj: KObject) -> list[tuple[int, int, int]]:
@@ -157,8 +171,8 @@ def euler_pairing(spec: ActionSpec, first: KObject, second: KObject) -> int:
     target_chars = _char_values(spec, second.support)
     total = 0
     for twist, char_value, sign in koszul(spec, first):
-        vec = _cohomology(target_chars, spec.rank, second.twist - twist)
-        total += sign * vec[second.char ^ char_value]
+        entries = dict(_cohomology_entries(target_chars, second.twist - twist))
+        total += sign * entries.get(second.char ^ char_value, 0)
     return total
 
 
@@ -175,14 +189,9 @@ def _profile(spec: ActionSpec, obj: KObject) -> _Profile:
     complement = [i for i in range(spec.num_coords) if i not in obj.support]
     return {
         (obj.twist - size, obj.char ^ value): (-1) ** size * count
-        for size, value, count in _parity_classes(_char_values(spec, complement))
+        for size, classes in enumerate(_parity_classes(_char_values(spec, complement)))
+        for value, count in classes
     }
-
-
-@lru_cache(maxsize=None)
-def _cohomology_entries(chars: tuple[int, ...], rank: int, e: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero (character value, multiplicity) pairs of ``_cohomology``."""
-    return tuple((x, m) for x, m in enumerate(_cohomology(chars, rank, e)) if m)
 
 
 # profile key (twist, character value) -> [(column, multiplicity), ...]
@@ -198,7 +207,7 @@ def _index_targets(
     for j, f in enumerate(targets, first_column):
         chars = _char_values(spec, f.support)
         for t in twists:
-            for x, m in _cohomology_entries(chars, spec.rank, f.twist - t):
+            for x, m in _cohomology_entries(chars, f.twist - t):
                 index.setdefault((t, f.char ^ x), []).append((j, m))
 
 

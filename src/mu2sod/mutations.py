@@ -20,8 +20,11 @@ itself for ``identity_sequence``), so a pairing is a lookup.  Each
 public call (``mutate_left``, ``mutate_right``, ``move_block``) and each
 whole ``apply_script`` builds one replay, a mutable copy of (vectors, G,
 blocks) that costs O(N^2) to build and to turn back into a sequence.
-On it an elementary mutation costs O(N), and a block move walks the
-block sizes once and reads its orthogonality flag off the replay's G.
+The replay leaves rows and columns where they were copied and maps each
+position to a slot, so the swap in an elementary mutation is O(1) and
+its shear, skipped when the pairing is 0, is O(N): one vector, one row
+and one column of G.  A block move walks the block sizes once and reads
+its orthogonality flag off G through the slots.
 The final checks never read the carried G.  ``is_semiorthogonal``
 recomputes V B V^T from the form and the vectors as two products that
 skip the zeros of V, and ``determinant`` is Bareiss fraction-free
@@ -104,7 +107,10 @@ def _is_int(x) -> bool:
 
 
 def _int_list(value, name: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+    # exact ints pass on one C-level test; int subclasses take the slow path
+    if not isinstance(value, list) or not (
+        {*map(type, value)} <= {int} or all(_is_int(x) for x in value)
+    ):
         raise ValueError(f"{name} must be a list of integers")
     return tuple(value)
 
@@ -196,18 +202,17 @@ def is_unimodular(seq: ExceptionalSequence) -> bool:
     return determinant(seq.vectors) in (1, -1)
 
 
-def _orthogonal(g, left: tuple[int, int], right: tuple[int, int]) -> bool:
-    """Whether two position ranges pair to zero both ways in G = ``g``."""
-    (ls, le), (rs, re) = left, right
-    return not any(any(g[i][rs:re]) for i in range(ls, le)) and not any(
-        any(g[j][ls:le]) for j in range(rs, re)
+def _orthogonal(g, left, right) -> bool:
+    """Whether two index sets pair to zero both ways in G = ``g``."""
+    return not any(any(map(g[i].__getitem__, right)) for i in left) and not any(
+        any(map(g[j].__getitem__, left)) for j in right
     )
 
 
 def blocks_orthogonal(seq: ExceptionalSequence, left: int, right: int) -> bool:
     """Whether two blocks pair to zero in both directions."""
     bounds = seq.block_bounds()
-    return _orthogonal(seq.gram, bounds[left], bounds[right])
+    return _orthogonal(seq.gram, range(*bounds[left]), range(*bounds[right]))
 
 
 @dataclass(frozen=True)
@@ -223,7 +228,10 @@ class Move:
 class _Replay:
     """Mutable copy of a sequence's vectors, pairing matrix and blocks.
 
-    Each public mutation builds one, works on it and freezes the result;
+    Rows of V and rows and columns of G stay where they were copied;
+    ``slots[pos]`` is where the element at position ``pos`` lives, so the
+    entry of G at positions (i, j) is ``gram[slots[i]][slots[j]]``.  Each
+    public mutation builds one, works on it and freezes the result;
     ``apply_script`` runs all of its moves on one.
     """
 
@@ -232,28 +240,29 @@ class _Replay:
         self.vectors = [list(v) for v in seq.vectors]
         self.gram = [list(r) for r in seq.gram]
         self.blocks = list(seq.blocks)
+        self.slots = list(range(len(seq)))
 
     def freeze(self) -> ExceptionalSequence:
-        vectors, gram = tuple(map(tuple, self.vectors)), tuple(map(tuple, self.gram))
+        slots = self.slots
+        vectors = tuple(tuple(self.vectors[s]) for s in slots)
+        gram = tuple(tuple(map(self.gram[s].__getitem__, slots)) for s in slots)
         return ExceptionalSequence(self.form, vectors, tuple(self.blocks), gram)
 
     def braid(self, p: int, target: int) -> None:
         """Swap basis elements p and p+1, then subtract c = pairing(p, p+1)
-        times the other one from the one now at ``target``.  G follows by
-        congruence: each step acts on rows p, p+1, then on columns p, p+1."""
+        times the other one from the one now at ``target``.  The swap
+        exchanges two slots; G follows the shear by congruence, on the
+        target's row and then on its column."""
+        slots = self.slots
         q = p + 1
-        source = p + q - target
-        vectors, gram = self.vectors, self.gram
-        c = gram[p][q]
-        for rows in (vectors, gram):
-            rows[p], rows[q] = rows[q], rows[p]
-        for row in gram:
-            row[p], row[q] = row[q], row[p]
+        c = self.gram[slots[p]][slots[q]]
+        slots[p], slots[q] = slots[q], slots[p]
         if c:
-            for rows in (vectors, gram):
-                rows[target] = [x - c * y for x, y in zip(rows[target], rows[source])]
-            for row in gram:
-                row[target] -= c * row[source]
+            t, s = slots[target], slots[p + q - target]
+            for rows in (self.vectors, self.gram):
+                rows[t] = [x - c * y for x, y in zip(rows[t], rows[s])]
+            for row in self.gram:
+                row[t] -= c * row[s]
 
     def move(self, block: int, direction: str) -> Move:
         """Pass ``block`` over its neighbour, element by element, then swap
@@ -269,7 +278,7 @@ class _Replay:
         start = sum(blocks[:first])
         middle = start + blocks[first]
         end = middle + blocks[first + 1]
-        orthogonal = _orthogonal(self.gram, (start, middle), (middle, end))
+        orthogonal = _orthogonal(self.gram, self.slots[start:middle], self.slots[middle:end])
         # Leftward, the leftmost element goes first and meets the passed
         # block's rightmost element first; rightward, the mirror image.
         if direction == "left":

@@ -632,3 +632,21 @@ def test_help_text_pinned(monkeypatch, capsys, columns, command):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[columns, command], text
+
+
+def test_build_parser_reads_terminal_width_once(monkeypatch):
+    import shutil
+
+    calls = []
+    real = shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    parser = cli.build_parser()
+    assert len(calls) == 1
+    parser.format_help()
+    parser.parse_args(["verify", "--check", "etale"])
+    assert len(calls) == 1

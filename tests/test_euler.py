@@ -100,7 +100,7 @@ def test_cohomology_entries_match_dense_reference():
         for e in range(-15, 16):
             dense = reference_cohomology(chars, rank, e)
             expected = [(x, m) for x, m in enumerate(dense) if m]
-            entries = euler._cohomology_entries(chars, rank, e)
+            entries = euler._cohomology_entries(chars, e)
             assert sorted(entries) == expected, (chars, rank, e)
             cases += 1
         repeated = repeated or len(set(chars)) < len(chars)
@@ -577,7 +577,7 @@ def test_gram_report_expands_each_object_once(monkeypatch):
         return koszul(spec, obj)
 
     monkeypatch.setattr(euler, "koszul", counting_koszul)
-    for cache in (euler._parity_classes, euler._cohomology, euler._cohomology_entries):
+    for cache in (euler._parity_classes, euler._cohomology_entries):
         cache.cache_clear()
     result = gram_report(spec, report)
     assert result.normalized and result.triangular
