@@ -1,6 +1,7 @@
 import enum
 import hashlib
 import json
+from collections import OrderedDict
 import os
 import random
 import shlex
@@ -490,11 +491,36 @@ def random_leaf(rng):
     )()
 
 
+def random_column(rng, depth):
+    """A maker of one record field's values, mostly of one type."""
+    makers = [
+        lambda: rng.randint(-300, 300),  # either side of the small-int table's edges
+        lambda: rng.choice(AWKWARD_TEXT),
+        lambda: rng.choice([True, False, None]),
+        lambda: [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))],
+        lambda: {"kind": rng.choice(AWKWARD_TEXT), "dim": rng.randint(0, 3)},
+        lambda: random_tree(rng, depth),
+    ]
+    make = rng.choice(makers)
+    return lambda: random_leaf(rng) if rng.random() < 0.1 else make()
+
+
+def random_records(rng, depth, width):
+    """A list of dicts with one key set, as the report documents hold."""
+    columns = {rng.choice(AWKWARD_TEXT) + str(i): random_column(rng, depth) for i in range(rng.randint(0, 4))}
+    records = [{key: make() for key, make in columns.items()} for _ in range(width)]
+    if records and rng.random() < 0.2:  # one record whose keys differ
+        rng.choice(records)["odd"] = random_leaf(rng)
+    return records
+
+
 def random_tree(rng, depth):
     if depth == 0 or rng.random() < 0.25:
         return random_leaf(rng)
     width = rng.randint(0, 5)  # 0 gives nested empty dicts and lists
-    shape = rng.randrange(6)
+    shape = rng.randrange(7)
+    if shape == 6:
+        return random_records(rng, depth - 1, width)
     if shape == 0:
         return {rng.choice(AWKWARD_TEXT) + str(i): random_tree(rng, depth - 1) for i in range(width)}
     if shape == 1:  # int keys, which sort as ints: 2 before 10
@@ -568,6 +594,70 @@ def test_dump_int_lists_match_json_dumps():
         assert cli._dump(doc) == reference_dump(doc), doc
 
 
+class Label(str):
+    """A str subclass, which ``json.dumps`` writes as its text."""
+
+
+ROW = {
+    "element": [0, 1],
+    "label": "P1[1,2]",
+    "rank": 2,
+    "split_index": None,
+    "coarse_type": {"kind": "projective", "dim": 1},
+}
+
+
+def test_dump_record_lists_match_json_dumps():
+    docs = [
+        [ROW, {**ROW, "rank": 3, "label": "pt[0]"}],  # equal keys
+        [ROW, {**ROW, "extra": 1}, ROW],  # one record whose keys differ
+        [ROW, {key: value for key, value in ROW.items() if key != "rank"}],
+        [{}, {}],  # empty-dict records
+        [{}, {"a": 1}],
+        [{"a": 1}, {}],
+        [{2: "two", 10: "ten"}, {2: "deux", 10: "dix"}],  # int keys: 2 before 10
+        [{1: "a"}, {True: "b"}],  # equal key sets, different key texts
+        [{1: "a"}, {1.0: "b"}],
+        [{"f": True, "n": 1}, {"f": 0, "n": False}],  # bools and ints in one column
+        [{"v": None, "b": True}, {"v": None, "b": False}],  # all-None, all-bool columns
+        [{"s": Sign.PLUS}, {"s": Sign.MINUS}, {"s": Sign.BIG}],  # int-subclass columns
+        [{"c": Count(3)}, {"c": Count(300)}, {"c": 1}],
+        [{"t": Label("x")}, {"t": "y"}, {"t": Label('q"\\')}],  # a str-subclass column
+        [OrderedDict(b=1, a=2), {"a": 3, "b": 4}],  # an OrderedDict record
+        [{"a": 3, "b": 4}, OrderedDict(b=1, a=2)],
+        [{"t": (1, 2)}, {"t": (3,)}, {"t": ()}],  # tuple fields
+        [{"x": 1.5}, {"x": -0.0}, {"x": 1e300}],  # float fields
+        [{"i": 2**70}, {"i": -257}, {"i": 256}, {"i": -(2**64)}],  # ints outside the table
+        [{"r": [[1, 2], [3, 257]]}, {"r": []}, {"r": [[True]]}],
+        [{"k": {"x": 1}}, {"k": {}}],  # nested dicts with other key sets
+        [{"k": {"x": 1}}, {"k": {"y": 1}}],
+        [{"k": {"x": 1}}, {"k": 5}],
+        [{"a": 1}, 2],  # records next to other values
+        [{"a": 1}, [1]],
+        [[{"a": 1}], [{"a": 2}]],
+        ({"a": 1}, {"a": 2}),  # a tuple of records
+        [{"a": "é", "b": AWKWARD_TEXT[5]}] * 3,
+        # record lists nested inside records
+        {"outer": [{"inner": [{"a": 1, "b": [2]}, {"a": 3, "b": []}]}, {"inner": []}]},
+        [{"a": [{"x": 1, "y": None}, {"x": 2, "y": "s"}]}, {"a": [{"x": 3, "y": True}]}],
+        {"components": [ROW] * 4, "flags": {"kernel": [[0, 0]], "effective": True}},
+    ]
+    for doc in docs:
+        assert cli._dump(doc) == reference_dump(doc), doc
+    # keys that do not sort fail as json.dumps does
+    with pytest.raises(TypeError):
+        cli._dump([{"a": 1, 2: 3}, {"a": 1, 2: 3}])
+    with pytest.raises(TypeError):
+        cli._dump([{(1, 2): 3}, {(1, 2): 4}])
+
+
+def test_dump_matches_json_dumps_on_random_record_lists():
+    rng = random.Random(16)
+    for _ in range(300):
+        doc = random_records(rng, rng.randint(0, 3), rng.randint(0, 6))
+        assert cli._dump(doc) == reference_dump(doc)
+
+
 def test_dump_matches_json_dumps_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -577,6 +667,10 @@ def test_dump_matches_json_dumps_property():
         leaves,
         lambda children: st.lists(children)
         | st.lists(children).map(tuple)
+        # records with one key set
+        | st.lists(st.text(max_size=3), max_size=4, unique=True).flatmap(
+            lambda keys: st.lists(st.fixed_dictionaries({key: children for key in keys}), max_size=4)
+        )
         | st.dictionaries(st.text(), children)
         | st.dictionaries(st.integers(), children),
         max_leaves=10,
@@ -650,3 +744,121 @@ def test_build_parser_reads_terminal_width_once(monkeypatch):
     parser.format_help()
     parser.parse_args(["verify", "--check", "etale"])
     assert len(calls) == 1
+
+
+def parser_argvs() -> list[list[str]]:
+    """Every README command and every LADDER source under each command."""
+    argvs = readme_commands()
+    for args in LADDER.values():
+        for command in ("analyze", "sod", "gram", "verify"):
+            argvs += [[command, *args], [command, *args, "--json", "--out", "x.json"]]
+    argvs += [["verify", "--check", "quadric", "--q-dim", "3", "--json"], ["mutate", "s.json", "--script", "m.json"]]
+    return argvs
+
+
+def test_main_parses_as_the_full_parser(monkeypatch):
+    seen = []
+    for command in ("analyze", "sod", "gram", "mutate", "verify"):
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 0)
+    for argv in parser_argvs():
+        assert main(argv) == 0
+        assert seen.pop() == cli.build_parser().parse_args(argv), argv
+
+
+USAGE = "usage: mu2sod [-h] {analyze,sod,gram,mutate,verify} ...\n"
+
+# exit status and stderr of arguments that argparse handles itself, at 80 columns
+PARSER_EXITS = {
+    (): (2, USAGE + "mu2sod: error: the following arguments are required: command\n"),
+    ("-h",): (0, ""),
+    ("so",): (
+        2,
+        USAGE + "mu2sod: error: argument command: invalid choice: 'so' "
+        "(choose from 'analyze', 'sod', 'gram', 'mutate', 'verify')\n",
+    ),
+    ("--bogus", "sod", "--json"): (2, USAGE + "mu2sod: error: unrecognized arguments: --bogus\n"),
+    ("sod", "--bogus"): (2, USAGE + "mu2sod: error: unrecognized arguments: --bogus\n"),
+    ("sod", "--n", "x"): (
+        2,
+        "usage: mu2sod sod [-h] [--preset {etale,p2-example,pn-full,quadric}] [--n N]\n"
+        "                  [--k K] [--q-dim Q_DIM] [--json] [--out OUT]\n"
+        "                  [input]\n"
+        "mu2sod sod: error: argument --n: invalid int value: 'x'\n",
+    ),
+    ("verify", "--check"): (
+        2,
+        "usage: mu2sod verify [-h] [--preset {etale,p2-example,pn-full,quadric}]\n"
+        "                     [--n N] [--k K] [--q-dim Q_DIM] [--json] [--out OUT]\n"
+        "                     [--check CHECK]\n"
+        "                     [input]\n"
+        "mu2sod verify: error: argument --check: expected one argument\n",
+    ),
+}
+HELP_80 = "58fc84f9750372273588aa54bc78993c84fbb692675799cc6ed2f0ac31e915b3"
+
+
+@pytest.mark.parametrize("argv", sorted(PARSER_EXITS), ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_exits_pinned(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == PARSER_EXITS[argv]
+    if argv == ("-h",):
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == HELP_80
+    else:
+        assert captured.out == ""
+
+
+def test_malformed_inputs_exit_cleanly(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5) | st.text(max_size=3),
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+        max_leaves=6,
+    )
+
+    @st.composite
+    def broken(draw, doc):
+        """``doc`` with one value replaced or one entry dropped, as JSON text
+        that is sometimes cut short."""
+
+        def corrupt(node):
+            if isinstance(node, (dict, list)) and node and draw(st.booleans()):
+                copy = dict(node) if isinstance(node, dict) else list(node)
+                key = draw(st.sampled_from(list(copy) if isinstance(copy, dict) else range(len(copy))))
+                action = draw(st.sampled_from(["descend", "replace", "drop"]))
+                if action == "drop":
+                    del copy[key]
+                else:
+                    copy[key] = corrupt(node[key]) if action == "descend" else draw(values)
+                return copy
+            return draw(values)
+
+        text = json.dumps(corrupt(doc))
+        return text[: draw(st.integers(0, len(text)))] if draw(st.integers(0, 4)) == 0 else text
+
+    sequence = identity_sequence(((1, 2), (0, 1))).to_dict()
+    script = [{"block": 1, "direction": "left"}, {"block": 0, "direction": "right"}]
+    spec_path, seq_path, script_path = tmp_path / "spec.json", tmp_path / "seq.json", tmp_path / "script.json"
+    commands = [[command, str(spec_path)] for command in ("analyze", "sod", "gram", "verify")]
+    commands.append(["mutate", str(seq_path), "--script", str(script_path)])
+
+    @hypothesis.seed(16)
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        broken(P2_DOC), broken(sequence), broken(script), st.sampled_from(commands), st.booleans()
+    )
+    def check(spec_text, seq_text, script_text, argv, as_json):
+        spec_path.write_text(spec_text)
+        seq_path.write_text(seq_text)
+        script_path.write_text(script_text)
+        code = main(argv + ["--json"] * as_json)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+    check()
