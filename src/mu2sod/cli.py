@@ -20,6 +20,8 @@ import json
 import os
 import shutil
 import sys
+from itertools import chain, repeat
+from operator import itemgetter
 
 from . import mutations, verify
 from .euler import EulerError, gram_report
@@ -59,10 +61,14 @@ _INT_TEXT = {i: int.__repr__(i) for i in range(-256, 257)}
 
 
 def _dump(doc) -> str:
-    """Exactly the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``."""
-    out: list[str] = []
-    _write(doc, out, "\n")
-    return "".join(out)
+    """Exactly the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``.
+
+    A list costs one type test, then a C-level map when its elements share
+    a type.  A list of dicts with one key set of str keys is written a
+    column per key: the key texts are formatted once, each column by the
+    same rule, and one join per record puts the records together.
+    """
+    return "".join(_write(doc, [], "\n"))
 
 
 def _key(key) -> str:
@@ -74,9 +80,39 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _write(value, out: list[str], newline: str) -> None:
-    """Append ``value`` to ``out``; ``newline`` is the line break and
-    indentation of its own nesting level."""
+def _column(values, newline: str):
+    """The text of each of ``values``, at the nesting level of ``newline``."""
+    types = {*map(type, values)}
+    if types == {int}:
+        try:
+            return [*map(_INT_TEXT.__getitem__, values)]
+        except KeyError:  # an entry beyond the table
+            return [*map(int.__repr__, values)]
+    if types == {str}:
+        return map(_ENCODE_STR, values)
+    if types <= {type(None), bool}:
+        return map(_LITERALS.__getitem__, values)
+    inner = newline + "  "
+    if types == {list}:
+        separator = "," + inner
+        return [
+            f"[{inner}{separator.join(_column(v, inner))}{newline}]" if v else "[]" for v in values
+        ]
+    keys = types == {dict} and values[0].keys()
+    if keys and all(map(keys.__eq__, map(dict.keys, values))) and {*map(type, keys)} == {str}:
+        columns, opener = [], "{"
+        for key in sorted(keys):
+            column = _column([*map(itemgetter(key), values)], inner)
+            columns += repeat(f"{opener}{inner}{_ENCODE_STR(key)}: "), column
+            opener = ","
+        return map("".join, zip(*columns, repeat(newline + "}")))
+    # mixed types, subclasses, floats, tuples, records whose keys differ
+    return ["".join(_write(value, [], newline)) for value in values]
+
+
+def _write(value, out: list[str], newline: str) -> list[str]:
+    """Append ``value`` to ``out`` and return ``out``; ``newline`` is the
+    line break and indentation of its own nesting level."""
     if isinstance(value, str):
         out.append(_ENCODE_STR(value))
     elif value is None or value is True or value is False:
@@ -84,36 +120,20 @@ def _write(value, out: list[str], newline: str) -> None:
     elif isinstance(value, int):  # json.dumps writes any int subclass as int.__repr__
         out.append(int.__repr__(value))
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
         inner, opener = newline + "  ", "{"
         for key, item in sorted(value.items()):  # raw keys, so 2 sorts before 10
             out.append(f"{opener}{inner}{_ENCODE_STR(_key(key))}: ")
             _write(item, out, inner)
             opener = ","
-        out.append(newline + "}")
+        out.append(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
         inner = newline + "  "
-        if {*map(type, value)} == {int}:  # bools keep the general path
-            separator = "," + inner
-            try:
-                text = separator.join(map(_INT_TEXT.__getitem__, value))
-            except KeyError:  # an entry beyond the table
-                text = separator.join(map(int.__repr__, value))
-            out.append(f"[{inner}{text}{newline}]")
-            return
-        opener = "["
-        for item in value:
-            out.append(opener + inner)
-            _write(item, out, inner)
-            opener = ","
-        out.append(newline + "]")
+        out.append("[")  # an element per piece: a big matrix is joined only once
+        out += chain.from_iterable(zip(repeat(inner), _column(value, inner), repeat(",")))
+        out[-1] = newline + "]" if value else "[]"
     else:
         out.append(json.dumps(value))
+    return out
 
 
 def _load_spec(args) -> ActionSpec:
@@ -282,7 +302,9 @@ def cmd_verify(args) -> int:
     return CHECK_FAILED if any(r.status == verify.FAIL for r in results) else OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone: the others
+    then keep only the name and summary that ``mu2sod`` itself reads."""
     # argparse reads the terminal width once per formatter, and every
     # add_argument builds one; read it once, as HelpFormatter would
     formatter = functools.partial(
@@ -296,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, summary: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=summary, formatter_class=formatter)
-
     def add_common(p):
         p.add_argument("input", nargs="?", help="action-spec JSON document")
         p.add_argument("--preset", choices=["etale", "p2-example", "pn-full", "quadric"])
@@ -308,24 +327,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="structured output")
         p.add_argument("--out", help="write output to a file")
 
-    add_common(add_command("analyze", "list inertia components"))
-    add_common(add_command("sod", "ordered decomposition and regrouping plan"))
-    add_common(add_command("gram", "canonical-generator Gram matrix"))
+    def add_mutate(p):
+        p.add_argument("input", help="serialized sequence JSON (form, vectors, blocks)")
+        p.add_argument("--script", required=True, help="mutation script JSON")
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--out")
 
-    mutate = add_command("mutate", "apply a mutation script to a sequence")
-    mutate.add_argument("input", help="serialized sequence JSON (form, vectors, blocks)")
-    mutate.add_argument("--script", required=True, help="mutation script JSON")
-    mutate.add_argument("--json", action="store_true")
-    mutate.add_argument("--out")
+    def add_verify(p):
+        add_common(p)
+        p.add_argument("--check", help=f"named check ({', '.join(_CHECKS)})")
 
-    ver = add_command("verify", "run oracle checks")
-    add_common(ver)
-    ver.add_argument("--check", help=f"named check ({', '.join(_CHECKS)})")
+    for name, summary, add_arguments in [
+        ("analyze", "list inertia components", add_common),
+        ("sod", "ordered decomposition and regrouping plan", add_common),
+        ("gram", "canonical-generator Gram matrix", add_common),
+        ("mutate", "apply a mutation script to a sequence", add_mutate),
+        ("verify", "run oracle checks", add_verify),
+    ]:
+        p = sub.add_parser(name, help=summary, formatter_class=formatter)
+        if command in (None, name):
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     handlers = {
         "analyze": cmd_analyze,
         "sod": cmd_sod,
@@ -333,6 +359,8 @@ def main(argv=None) -> int:
         "mutate": cmd_mutate,
         "verify": cmd_verify,
     }
+    # a leading command name parses exactly as with the full parser
+    args = build_parser(argv[0] if argv and argv[0] in handlers else None).parse_args(argv)
     try:
         return handlers[args.command](args)
     except ValueError as exc:  # SpecError included

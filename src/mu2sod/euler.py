@@ -24,27 +24,17 @@ the G-invariant Euler pairing:
 Characters are self-inverse, so all character bookkeeping is XOR on
 their int encodings.
 
-Cost model.  ``gram`` reads each object's Koszul resolution off the
-parity table of its complement's characters, the cached subset table
-that ``cohomology`` reads for a support, into a profile: its terms
-summed per (twist, character), at most 2^c keys on c coordinates and
-fewer when coordinates share a character.  Objects of one block share a
-complement, hence one enumeration.  It then inverts the targets once per
-matrix: for every twist in some profile and every target, the nonzero
-entries of one cohomology group (at most 2^k on mu_2^k) are filed under
-the profile key they pair with.  Those entries come straight from the
-parity table, laid out per subset size: each size that contributes
-multiplies one binomial by its (character, count) classes, so a cache
-miss costs the table's classes, not a dense 2^k vector.  A row is a
-sparse sum over its profile's keys, so the matrix costs one index plus
-work proportional to the nonzero (profile term, index entry) matches;
-there is no per-pair expansion and no cache lookup per (pair, term).
-Twisting an object by a character only XORs its profile keys, so
-``character_normalization`` tests every twist of a block against its own
-index of the objects already placed, and extends that index by each
-accepted block.  ``gram_report`` composes the two: when the trivial
-choice is not triangular and twists are found, it recomputes the Gram of
-the twisted objects.
+Cost model.  An object's Koszul terms are read off the cached parity
+table of its complement's characters into a profile: the terms summed
+per (twist, character), at most 2^c keys on c coordinates.  ``gram``
+files each target's nonzero cohomology entries (at most 2^k per twist,
+also read off a parity table) under the profile key they pair with,
+once per matrix, so a row costs its nonzero (profile term, index entry)
+matches.  A character twist only XORs profile keys, so
+``character_normalization`` tests every twist of a block against an
+index of the objects already placed.  ``gram_report`` recomputes the
+Gram of the twisted objects when the trivial choice is not triangular
+and twists are found.
 """
 
 from __future__ import annotations

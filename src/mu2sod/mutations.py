@@ -15,23 +15,15 @@ Blocks partition the positions into contiguous runs; block moves in
 ``apply_script`` compose elementwise mutations so that a whole block
 passes an adjacent one, then swap the two block sizes.
 
-Cost model.  A sequence carries G, computed once at construction (B
-itself for ``identity_sequence``), so a pairing is a lookup.  Each
-public call (``mutate_left``, ``mutate_right``, ``move_block``) and each
-whole ``apply_script`` builds one replay, a mutable copy of (vectors, G,
-blocks) that costs O(N^2) to build and to turn back into a sequence.
-The replay leaves rows and columns where they were copied and maps each
-position to a slot, so the swap in an elementary mutation is O(1) and
-its shear, skipped when the pairing is 0, is O(N): one vector, one row
-and one column of G.  A block move walks the block sizes once and reads
-its orthogonality flag off G through the slots.
-The final checks never read the carried G.  ``is_semiorthogonal``
-recomputes V B V^T from the form and the vectors as two products that
-skip the zeros of V, and ``determinant`` is Bareiss fraction-free
-elimination that only rescales, or leaves alone, a row with no entry in
-the pivot column.  With nnz nonzero entries per vector row, as in the
-sparse vectors that ``mutate`` and ``sod`` produce, both cost about
-O(N^2 nnz); on dense vectors they are O(N^3).
+Cost model.  A sequence carries G = V B V^T, computed once, so a
+pairing is a lookup.  Each public move and each ``apply_script`` builds
+one replay, an O(N^2) copy of (vectors, G, blocks) that maps positions
+to slots: an elementary mutation's swap is O(1) and its shear, skipped
+when the pairing is 0, is O(N).  The final checks never read the
+carried G.  ``is_semiorthogonal`` recomputes V B V^T with products that
+skip the zeros of V, and ``determinant`` is Bareiss elimination that
+skips the rows with no entry in the pivot column: about O(N^2 nnz) on
+vectors with nnz nonzero entries per row, O(N^3) on dense ones.
 """
 
 from __future__ import annotations

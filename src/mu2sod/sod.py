@@ -63,15 +63,15 @@ def assemble(spec: ActionSpec) -> SodReport:
 
 def piece_label(comp: InertiaComponent) -> str:
     """Short human-readable tag, e.g. P1[1,2] or pt[0]."""
-    support = ",".join(str(i) for i in comp.piece.support)
-    names = {
-        "affine": f"A{comp.piece.dim}",
-        "projective": f"P{comp.piece.dim}",
-        "point": "pt",
-        "fermat": f"Q{comp.piece.dim}",
-        "point_pair": "pair" if comp.split_index is None else f"pair.{comp.split_index}",
-    }
-    return f"{names[comp.piece.kind]}[{support}]"
+    kind = comp.piece.kind
+    if kind == "point_pair":
+        name = "pair" if comp.split_index is None else f"pair.{comp.split_index}"
+    else:
+        name = "pt" if kind == "point" else f"{_LETTERS[kind]}{comp.piece.dim}"
+    return f"{name}[{','.join(map(str, comp.piece.support))}]"
+
+
+_LETTERS = {"affine": "A", "projective": "P", "fermat": "Q"}
 
 
 def coarse_label(comp: InertiaComponent) -> str:

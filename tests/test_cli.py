@@ -765,6 +765,22 @@ def test_main_parses_as_the_full_parser(monkeypatch):
         assert seen.pop() == cli.build_parser().parse_args(argv), argv
 
 
+def test_main_builds_the_called_commands_parser(monkeypatch, capsys):
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+    assert main(["verify", "--check", "etale", "--n", "2", "--k", "1"]) == 0
+    for argv in ([], ["-h"], ["so"], ["--bogus", "sod", "--json"]):  # no leading command
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["verify", None, None, None, None]
+    # the other commands keep their names and summaries, and no arguments
+    assert real("sod").format_help() == real().format_help()
+    assert real("sod").parse_args(["gram"]).command == "gram"
+    with pytest.raises(SystemExit):
+        real("sod").parse_args(["gram", "--preset", "p2-example"])
+    capsys.readouterr()
+
+
 USAGE = "usage: mu2sod [-h] {analyze,sod,gram,mutate,verify} ...\n"
 
 # exit status and stderr of arguments that argparse handles itself, at 80 columns
