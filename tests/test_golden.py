@@ -3,7 +3,7 @@
 ``verify`` on projective, quadric and etale presets, of ``sod`` on the
 quadric presets, of the default ``verify`` battery and of each
 ``verify --check`` name are pinned by SHA-256, as are ``gram`` and
-``sod`` on pn-full n=5, ``sod`` on pn-full n=6 and ``gram`` on two
+``sod`` on pn-full n=5, ``sod`` on pn-full n=6 and n=7 and ``gram`` on two
 seeded random projective specs (one of them needs character
 normalization).  The exit code and stderr line of three ``verify``
 input errors are pinned as well.
@@ -180,6 +180,7 @@ LARGE_GOLDEN = {
     "gram pn-full-5": "e0182c9fc4a4d29fe8beca706a86a1cddd4a318a2871fe82b349beaca98bbd10",
     "sod pn-full-5": "96c8834d0f2c4920ac6860eeacf89c0ee77f637064907acc1bc8091e86895cf0",
     "sod pn-full-6": "1d14d6c5ec9f496463b46be153df3e72245370d2512e840d819ccfa0de5e14f1",
+    "sod pn-full-7": "ae4544b0422653fa2865d3c5de8393c36bcc49823b6ea37ea0a79334f13f19f8",
 }
 
 
@@ -194,6 +195,14 @@ def test_golden_sod_pn_full_6_digest(capsys):
     text = _run(capsys, ["sod", "--preset", "pn-full", "--n", "6", "--json"])
     assert len(json.loads(text)["msodc"]["moves"]) == 3080
     assert _digest(text) == LARGE_GOLDEN["sod pn-full-6"]
+
+
+def test_golden_sod_pn_full_7_digest(capsys):
+    # N=1024: 12,866 flagged plan moves
+    text = _run(capsys, ["sod", "--preset", "pn-full", "--n", "7", "--json"])
+    moves = json.loads(text)["msodc"]["moves"]
+    assert len(moves) == 12866 and all(m["orthogonal"] is not None for m in moves)
+    assert _digest(text) == LARGE_GOLDEN["sod pn-full-7"]
 
 
 def seeded_projective_spec(seed: int, n: int, k: int, effective: bool):
