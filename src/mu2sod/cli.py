@@ -174,7 +174,7 @@ def cmd_analyze(args) -> int:
 
 
 def _plan_with_gram(spec, report):
-    """Regrouping plan, with orthogonality flags when a Gram is available."""
+    """Regrouping plan, with orthogonality flags when a unipotent Gram is available."""
     try:
         result = gram_report(spec, report)
         matrix = result.matrix if result.triangular else None

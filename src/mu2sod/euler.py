@@ -27,21 +27,31 @@ their int encodings.
 Cost model.  An object's Koszul terms are read off the cached parity
 table of its complement's characters into a profile: the terms summed
 per (twist, character), at most 2^c keys on c coordinates.  ``gram``
-files each target's nonzero cohomology entries (at most 2^k per twist,
-also read off a parity table) under the profile key they pair with,
-once per matrix, so a row costs its nonzero (profile term, index entry)
-matches.  A character twist only XORs profile keys, so
-``character_normalization`` tests every twist of a block against an
-index of the objects already placed.  ``gram_report`` recomputes the
-Gram of the twisted objects when the trivial choice is not triangular
-and twists are found.
+packs the columns into fixed-width lanes of big ints (Kronecker
+substitution): per profile key (t, x), one int whose lane j holds the
+multiplicity with which that key pairs into column j, filed once per
+matrix from each target's nonzero cohomology entries (at most 2^k per
+twist, also read off a parity table).  A row is then one big-int
+multiply-add per profile term, unpacked by ``int.to_bytes`` and
+``array``.  The lane width comes from a bound computed for each matrix,
+the largest sum of |s| over a profile times the largest |m| of an entry:
+the smallest signed machine int of 1, 2, 4 or 8 bytes that holds it,
+or wider lanes unpacked one by one.  A character twist only XORs
+profile keys, so ``character_normalization`` tests every twist of a
+block against the packed index of the objects already placed, one
+comparison with 0 per row.  ``gram_report`` recomputes the Gram of the
+twisted objects when the trivial choice is not triangular and twists
+are found.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain, starmap
 from math import comb
 
 from .groups import ActionSpec, bit_list
@@ -184,41 +194,81 @@ def _profile(spec: ActionSpec, obj: KObject) -> _Profile:
     }
 
 
-# profile key (twist, character value) -> [(column, multiplicity), ...]
-_Index = dict[tuple[int, int], list[tuple[int, int]]]
+# profile twist t -> one packed int per character value c: lane j holds the
+# multiplicity with which a profile term (t, c) pairs into column j
+_Index = dict[int, list[int]]
+
+# array typecodes of the signed machine ints, by size in bytes
+_LANE_CODES = {array(code).itemsize: code for code in "bhilq"}
 
 
-def _index_targets(
-    spec: ActionSpec, index: _Index, twists: set[int], targets: list[KObject], first_column: int
+def _empty_index(
+    spec: ActionSpec, profiles: list[_Profile], targets: list[KObject]
+) -> tuple[_Index, int]:
+    """An index with no column filed, keyed by the twists of ``profiles``,
+    and its lane size in bytes.  A lane holds a pairing of a profile with
+    a target, a sum of s * m over the profile's terms, so it needs the
+    largest sum of |s| times the largest |m| of a target's entries."""
+    twists = {t for p in profiles for t, _ in p}
+    kinds = {(_char_values(spec, f.support), f.twist) for f in targets}
+    entries = {(chars, d - t) for chars, d in kinds for t in twists}
+    multiplicities = [m for _, m in chain.from_iterable(starmap(_cohomology_entries, entries))]
+    biggest = max(max(multiplicities, default=0), -min(multiplicities, default=0))
+    bound = biggest * max((sum(map(abs, p.values())) for p in profiles), default=0)
+    need = bound.bit_length() // 8 + 1  # one bit more for the sign
+    lane = min((s for s in _LANE_CODES if s >= need), default=need)
+    return {t: [0] * (1 << spec.rank) for t in twists}, lane
+
+
+def _file(
+    spec: ActionSpec, index: _Index, targets: list[KObject], first_column: int, lane: int
 ) -> None:
-    """File target j = first_column, ... under every profile key it pairs
-    with: H^*(O(f.twist - t)) has multiplicity m at x, so a profile term
-    (t, f.char ^ x) with sign s adds s * m to column j."""
+    """File target j = first_column, ... into lane j: H^*(O(f.twist - t))
+    has multiplicity m at x, so a profile term (t, f.char ^ x) with sign s
+    adds s * m to column j."""
     for j, f in enumerate(targets, first_column):
-        chars = _char_values(spec, f.support)
-        for t in twists:
-            for x, m in _cohomology_entries(chars, f.twist - t):
-                index.setdefault((t, f.char ^ x), []).append((j, m))
+        chars, d, c = _char_values(spec, f.support), f.twist, f.char
+        shift = 8 * lane * j
+        for t, lanes in index.items():
+            for x, m in _cohomology_entries(chars, d - t):
+                lanes[c ^ x] += m << shift
 
 
-def _pair_row(profile: _Profile, index: _Index, psi: int, width: int) -> list[int]:
-    """Pairings of the psi-twist of ``profile``'s object with the indexed
-    targets, one per column."""
-    row = [0] * width
-    for (t, x), s in profile.items():
-        for j, m in index.get((t, x ^ psi), ()):
-            row[j] += s * m
-    return row
+def _packed_row(profile: _Profile, index: _Index, psi: int, start: int = 0) -> int:
+    """``start`` plus the pairings of the psi-twist of ``profile``'s object
+    with the indexed targets, packed one per lane: one big-int
+    multiply-add per profile term."""
+    return sum((s * index[t][x ^ psi] for (t, x), s in profile.items()), start)
+
+
+def _unpack(packed: int, lane: int, count: int) -> list[int]:
+    """The ``count`` two's-complement ``lane``-byte lanes of ``packed``."""
+    data = packed.to_bytes(lane * count, "little")
+    code = _LANE_CODES.get(lane)
+    if code is None:
+        return [
+            int.from_bytes(data[i : i + lane], "little", signed=True)
+            for i in range(0, len(data), lane)
+        ]
+    lanes = array(code, data)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes.tolist()
 
 
 def gram(spec: ActionSpec, objects: list[KObject]) -> list[list[int]]:
     """Matrix of ``euler_pairing`` over all ordered pairs: one profile per
-    object, one target index for the matrix."""
+    object, one packed target index for the matrix.  Each lane of a row
+    starts at half its range (the bias), so the packed sum has no borrow
+    across lanes, and XOR with the bias leaves each lane in two's
+    complement."""
     _check_ambient(spec)
     profiles = [_profile(spec, e) for e in objects]
-    index: _Index = {}
-    _index_targets(spec, index, {t for p in profiles for t, _ in p}, objects, 0)
-    return [_pair_row(p, index, 0, len(objects)) for p in profiles]
+    index, lane = _empty_index(spec, profiles, objects)
+    _file(spec, index, objects, 0, lane)
+    n = len(objects)
+    bias = int.from_bytes((1 << (8 * lane - 1)).to_bytes(lane, "little") * n, "little")
+    return [_unpack(_packed_row(p, index, 0, bias) ^ bias, lane, n) for p in profiles]
 
 
 def canonical_generators(
@@ -268,19 +318,19 @@ def character_normalization(
     None when some block admits no such character.
     """
     profiles = [_profile(spec, obj) for obj in objects]
-    profile_twists = {t for p in profiles for t, _ in p}
-    index: _Index = {}
+    index, lane = _empty_index(spec, profiles, objects)
     chosen: list[int] = []
     placed = 0
     for size in sizes:
         block = range(placed, placed + size)
         for psi in spec.group:
-            if not any(any(_pair_row(profiles[i], index, psi, placed)) for i in block):
+            # balanced lanes: a packed row is 0 iff every pairing in it is
+            if not any(_packed_row(profiles[i], index, psi) for i in block):
                 break
         else:
             return None
         chosen.append(psi)
-        _index_targets(spec, index, profile_twists, [objects[i].twisted(psi) for i in block], placed)
+        _file(spec, index, [objects[i].twisted(psi) for i in block], placed, lane)
         placed += size
     return chosen
 

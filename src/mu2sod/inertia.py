@@ -41,9 +41,10 @@ pattern normalized to a plus sign on the first coordinate t_0 is
 * Affine reflection test.  A sign group on A^t has an affine-space
   quotient iff it is generated by single-coordinate flips.  The flip of
   coordinate j lies in R iff chi_j is not in the span of the other
-  characters, i.e. iff dropping j lowers the rank; those flips span a
-  subgroup of R of dimension their number, so R is reflection-generated
-  iff that number equals rank{chi_i}.
+  characters, i.e. iff j occurs in no linear relation among the chi_i;
+  those flips span a subgroup of R of dimension their number, so R is
+  reflection-generated iff that number equals rank{chi_i}.  One XOR
+  basis pass finds the rank and a basis of the relations.
 """
 
 from __future__ import annotations
@@ -72,6 +73,26 @@ def _rank_mod_scalar(spec: ActionSpec, coords: tuple[int, ...]) -> int:
     return f2_rank(spec.characters[i] ^ chi_0 for i in coords)
 
 
+def _rank_and_flips(chars: list[int]) -> tuple[int, int]:
+    """F_2 rank of ``chars`` and the number of its flips, in one XOR-basis
+    pass that tracks which coordinates each reduction combined: a
+    coordinate whose character reduces to 0 closes a linear relation,
+    and a coordinate is a flip iff it occurs in none of them."""
+    basis: list[tuple[int, int]] = []  # (vector, the coordinates it sums)
+    related = 0
+    for j, v in enumerate(chars):
+        combined = 1 << j
+        for b, summed in basis:
+            if v ^ b < v:  # clears b's leading bit, which no later b sets
+                v ^= b
+                combined ^= summed
+        if v:
+            basis.append((v, combined))
+        else:
+            related |= combined
+    return len(basis), len(chars) - related.bit_count()
+
+
 def classify_piece(spec: ActionSpec, piece: LocusPiece) -> str:
     """Coarse-moduli kind of the quotient of a fixed-locus piece.
 
@@ -85,9 +106,7 @@ def classify_piece(spec: ActionSpec, piece: LocusPiece) -> str:
     if piece.kind == AFFINE:
         if t == 0:
             return "point"
-        chars = [spec.characters[i] for i in piece.support]
-        r = f2_rank(chars)
-        flips = sum(f2_rank(chars[:j] + chars[j + 1:]) < r for j in range(t))
+        r, flips = _rank_and_flips([spec.characters[i] for i in piece.support])
         return "affine" if flips == r else "undetermined"
     if piece.kind in (POINT, POINT_PAIR):
         return "point"

@@ -10,14 +10,17 @@ emits ties in the order of the rest of the tie-break.
 
 ``msodc_plan`` produces the leftward block moves that regroup the
 decomposition so all pieces of one group element sit together (blocks
-ordered by first occurrence), replaying the moves on a Gram matrix when
-one is supplied to record which moves are orthogonal transpositions.
+ordered by first occurrence).  Given the unipotent Gram of the
+canonical generators, it flags which moves are orthogonal
+transpositions by projecting each moving element on the Gram it was
+given, without replaying the moves.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 from . import mutations
 from .groups import ActionSpec, bit_list, projective_kernel
@@ -120,39 +123,69 @@ class MutationPlan:
         return {"moves": [m.to_dict() for m in self.moves], "block_order": list(self.block_order)}
 
 
-def grouped_block_order(report: SodReport) -> list[int]:
-    """Target block order: same-element pieces contiguous, elements by
-    first occurrence, pieces of one element in report order."""
-    return [pos for _, positions in report.grouping for pos in positions]
+def _passing_flags(
+    above: list[list[tuple[int, int]]], bounds: list[range], block: int, passed: list[int]
+) -> list[bool]:
+    """Whether ``block`` pairs to zero with each block of ``passed``, in
+    passing order, just before it passes it.
+
+    Each element e passes the objects of ``passed`` in descending index
+    order, all of them original.  ``w[x]`` is the pairing of x with the
+    current e; passing a with c = w[a] turns e into e - c a, so each w[x]
+    with x < a drops by c G[x][a].  Pairings from e back to a passed
+    block stay 0 in a unipotent Gram, so only w is read."""
+    orthogonal = [True] * len(passed)
+    for e in bounds[block]:
+        w = [0] * len(above)
+        for x, value in above[e]:
+            w[x] = value
+        for i, span in enumerate(map(bounds.__getitem__, passed)):
+            if any(w[span.start : span.stop]):
+                orthogonal[i] = False
+            for a in reversed(span):
+                c = w[a]
+                if c:
+                    for x, value in above[a]:
+                        w[x] -= c * value
+    return orthogonal
 
 
 def msodc_plan(report: SodReport, gram: Sequence[Sequence[int]] | None = None) -> MutationPlan:
     """Leftward adjacent block moves regrouping the pieces by element.
 
-    Every component of the report is one block.  When ``gram`` is given
-    (the canonical-generator Gram matrix in report order, so block i has
-    ``report.components[i].rank`` rows), the moves are replayed on it
-    and each is flagged orthogonal iff the adjacent blocks pair to zero
-    in both directions at that moment; without a Gram the flag is None
-    (undecidable).
+    Every component of the report is one block.  The target order keeps
+    same-element pieces contiguous, elements by first occurrence and the
+    pieces of one element in report order; each block moves once, when
+    it is placed, leftward past the unplaced blocks before it, which
+    have never moved.  When ``gram`` is given (the canonical-generator
+    Gram in report order, so block i has ``report.components[i].rank``
+    rows), it must be unipotent upper triangular, and each move is
+    flagged orthogonal iff the two blocks pair to zero at that moment.
+    A left mutation through an exceptional block is the projection onto
+    its left orthogonal, fixed by the original pairings, so the flags
+    are read off ``gram`` without replaying the moves.  Without a Gram
+    the flag is None (undecidable).
     """
-    target = grouped_block_order(report)
-    order = list(range(len(report.components)))
-    steps: list[int] = []  # the moves depend on the block order alone
-    for t in range(len(target)):
-        p = order.index(target[t])
-        while p > t:
-            steps.append(p)
-            order.insert(p - 1, order.pop(p))
-            p -= 1
-    if gram is None:
-        moves = [mutations.Move(p, "left", None) for p in steps]
-    else:
-        sizes = tuple(c.rank for c in report.components)
-        if len(gram) != sum(sizes):
-            raise ValueError(
-                f"Gram has {len(gram)} rows but the report's blocks need {sum(sizes)}"
-            )
-        seq = mutations.identity_sequence(gram, sizes)
-        _, moves = mutations.apply_script(seq, [{"block": p, "direction": "left"} for p in steps])
+    starts = [0, *accumulate(c.rank for c in report.components)]
+    bounds = list(map(range, starts, starts[1:]))
+    if gram is not None:
+        n = len(gram)
+        if n != starts[-1]:
+            raise ValueError(f"Gram has {n} rows but the report's blocks need {starts[-1]}")
+        if any(len(row) != n for row in gram) or not mutations.is_unipotent_upper(gram):
+            raise ValueError("the Gram must be unipotent upper triangular")
+        # above[a]: the nonzero (x, G[x][a]) with x < a
+        above: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for x, row in enumerate(gram):
+            for a in compress(range(x + 1, n), row[x + 1 :]):
+                above[a].append((x, row[a]))
+    target = [pos for _, positions in report.grouping for pos in positions]
+    order = list(range(len(bounds)))
+    moves: list[mutations.Move] = []
+    for t, block in enumerate(target):
+        p = order.index(block)
+        passed = order[t:p][::-1]
+        flags = [None] * len(passed) if gram is None else _passing_flags(above, bounds, block, passed)
+        moves += [mutations.Move(q, "left", f) for q, f in zip(range(p, t, -1), flags)]
+        order.insert(t, order.pop(p))
     return MutationPlan(moves=tuple(moves), block_order=tuple(order))

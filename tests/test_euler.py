@@ -600,3 +600,141 @@ def test_gram_report_expands_each_object_once(monkeypatch):
     # the normalized matrix is the Gram of the twisted objects
     assert [list(r) for r in result.matrix] == matrix
     assert list(result.twists) == character_normalization(spec, objects, sizes)
+
+
+# The index that ``gram`` and ``character_normalization`` used before rows
+# were packed: one (column, multiplicity) list per profile key.
+
+
+def reference_index_targets(spec, index, twists, targets, first_column):
+    """File target j = first_column, ... under every profile key it pairs
+    with: H^*(O(f.twist - t)) has multiplicity m at x, so a profile term
+    (t, f.char ^ x) with sign s adds s * m to column j."""
+    for j, f in enumerate(targets, first_column):
+        chars = tuple(spec.characters[i] for i in f.support)
+        for t in twists:
+            for x, m in euler._cohomology_entries(chars, f.twist - t):
+                index.setdefault((t, f.char ^ x), []).append((j, m))
+
+
+def reference_pair_row(profile, index, psi, width):
+    """Pairings of the psi-twist of ``profile``'s object with the indexed
+    targets, one per column."""
+    row = [0] * width
+    for (t, x), s in profile.items():
+        for j, m in index.get((t, x ^ psi), ()):
+            row[j] += s * m
+    return row
+
+
+def reference_gram(spec, objects):
+    profiles = [euler._profile(spec, e) for e in objects]
+    index = {}
+    reference_index_targets(spec, index, {t for p in profiles for t, _ in p}, objects, 0)
+    return [reference_pair_row(p, index, 0, len(objects)) for p in profiles]
+
+
+def reference_normalization(spec, objects, sizes):
+    profiles = [euler._profile(spec, obj) for obj in objects]
+    profile_twists = {t for p in profiles for t, _ in p}
+    index, chosen, placed = {}, [], 0
+    for size in sizes:
+        block = range(placed, placed + size)
+        for psi in spec.group:
+            if not any(any(reference_pair_row(profiles[i], index, psi, placed)) for i in block):
+                break
+        else:
+            return None
+        chosen.append(psi)
+        twisted = [objects[i].twisted(psi) for i in block]
+        reference_index_targets(spec, index, profile_twists, twisted, placed)
+        placed += size
+    return chosen
+
+
+def lane_bound(spec, objects):
+    """The largest sum of |s| over a profile times the largest |m| of a
+    target's cohomology entries at a profile twist."""
+    profiles = [euler._profile(spec, obj) for obj in objects]
+    twists = {t for p in profiles for t, _ in p}
+    biggest = max(
+        (
+            abs(m)
+            for f in objects
+            for t in twists
+            for _, m in euler._cohomology_entries(tuple(spec.characters[i] for i in f.support), f.twist - t)
+        ),
+        default=0,
+    )
+    return biggest * max(sum(map(abs, p.values())) for p in profiles)
+
+
+def assert_narrowest_lane(spec, objects):
+    """The lane holds the bound with a sign bit, and the next narrower
+    lane does not; returns the lane size in bytes."""
+    profiles = [euler._profile(spec, obj) for obj in objects]
+    lane = euler._empty_index(spec, profiles, objects)[1]
+    bound = lane_bound(spec, objects)
+    narrower = [size for size in (1, 2, 4, 8) if size < lane] if lane <= 8 else [lane - 1]
+    assert bound < 1 << (8 * lane - 1)
+    assert not narrower or bound >= 1 << (8 * narrower[-1] - 1)
+    return lane
+
+
+def _objects_with_twists(rng, spec, count, twists):
+    c = spec.num_coords
+    return [
+        KObject(tuple(rng.sample(range(c), rng.randint(1, c))), rng.choice(twists), rng.randrange(1 << spec.rank))
+        for _ in range(count)
+    ]
+
+
+def _random_blocks(rng, count):
+    sizes, left = [], count
+    while left:
+        sizes.append(min(left, rng.randint(1, 3)))
+        left -= sizes[-1]
+    return tuple(sizes)
+
+
+def test_packed_gram_and_normalization_match_reference_index():
+    rng = random.Random(79)
+    small = list(range(-6, 7))
+    hundreds = [sign * rng.randint(100, 900) for sign in (1, -1) for _ in range(20)]
+    lanes, negative, outcomes = Counter(), 0, set()
+    for case in range(240):
+        kind = rng.choice(["projective", "projective", "fermat_quadric"])
+        n = rng.randint(1, 7 if case % 2 else 4)
+        c = n + (2 if kind == "fermat_quadric" else 1)
+        k = rng.randint(0, min(c, 5))
+        spec = make_spec(kind, n, [[rng.randint(0, 1) for _ in range(c)] for _ in range(k)])
+        twists = hundreds + small if case % 2 else small
+        objects = _objects_with_twists(rng, spec, rng.randint(1, 12), twists)
+        expected = reference_gram(spec, objects)
+        assert gram(spec, objects) == expected, (spec.to_dict(), objects)
+        lane = assert_narrowest_lane(spec, objects)
+        lanes[min(lane, 9)] += 1
+        assert max(abs(x) for row in expected for x in row) < 1 << (8 * lane - 1)
+        negative += any(x < 0 for row in expected for x in row)
+        sizes = _random_blocks(rng, len(objects))
+        chosen = reference_normalization(spec, objects, sizes)
+        assert character_normalization(spec, objects, sizes) == chosen
+        outcomes.add("none" if chosen is None else "trivial" if not any(chosen) else "twisted")
+    # every machine lane size and the int.from_bytes fallback beyond 64 bits
+    assert set(lanes) == {1, 2, 4, 8, 9}, lanes
+    assert negative and outcomes == {"none", "trivial", "twisted"}
+
+
+def test_packed_gram_matches_reference_on_golden_normalized_spec():
+    spec = seeded_projective_spec(0, 4, 5, False)
+    objects, sizes = canonical_generators(spec, assemble(spec))
+    assert len(objects) == 160
+    assert gram(spec, objects) == reference_gram(spec, objects)
+    twists = character_normalization(spec, objects, sizes)
+    assert twists == reference_normalization(spec, objects, sizes) and any(twists)
+    per_object = [psi for psi, size in zip(twists, sizes) for _ in range(size)]
+    twisted = [obj.twisted(psi) for obj, psi in zip(objects, per_object)]
+    assert gram(spec, twisted) == reference_gram(spec, twisted)
+    for spec in [p2_example(), pn_full(3), pn_full(4), pn_full(5)]:
+        objects, _ = canonical_generators(spec, assemble(spec))
+        assert gram(spec, objects) == reference_gram(spec, objects)

@@ -4,11 +4,11 @@ from collections import Counter
 import pytest
 
 from mu2sod.groups import dot, f2_rank, make_spec
-from mu2sod.inertia import classify_piece, components, twist_step
+from mu2sod.inertia import _rank_and_flips, classify_piece, components, twist_step
 from mu2sod.sod import _smoothness
-from mu2sod.loci import LocusPiece, fixed_pieces
+from mu2sod.loci import AFFINE, LocusPiece, fixed_pieces
 from mu2sod.presets import etale, p2_example, pn_full, quadric
-from test_oracle_sweep import chi_c_total
+from test_oracle_sweep import chi_c_total, random_spec
 
 
 def burnside_by_pairs(spec, comp):
@@ -183,6 +183,44 @@ def test_affine_coarse_types():
     assert untwisted.rank == 1
     origin = next(c for c in components(spec) if c.element == 1)
     assert origin.coarse == "point"
+
+
+def drop_one_flips(chars):
+    """Reference for the affine reflection test: the F_2 rank, and the
+    number of coordinates whose removal lowers it."""
+    r = f2_rank(chars)
+    return r, sum(f2_rank(chars[:j] + chars[j + 1 :]) < r for j in range(len(chars)))
+
+
+def test_rank_and_flips_match_drop_one_rule():
+    rng = random.Random(71)
+    cases = [[], [0], [0, 0], [1, 1], [1, 2, 3], [1, 2, 4, 7]]
+    for _ in range(4000):
+        k = rng.randint(0, 8)
+        cases.append([rng.randrange(1 << k) for _ in range(rng.randint(1, 10))])
+    outcomes = Counter()
+    for chars in cases:
+        expected = drop_one_flips(chars)
+        assert _rank_and_flips(chars) == expected, chars
+        outcomes[0 < expected[1] < len(chars), expected[0] == expected[1]] += 1
+    # some flips next to relations, and both verdicts of the test
+    assert outcomes[True, True] and outcomes[True, False] and outcomes[False, False]
+
+
+def test_affine_pieces_classified_by_drop_one_rule():
+    specs = [etale(n, k) for n in range(1, 7) for k in range(n + 1)]
+    rng = random.Random(73)
+    specs += [random_spec(rng, "affine", rng.randint(0, 6), max_dim=7) for _ in range(300)]
+    verdicts = Counter()
+    for spec in specs:
+        for comp in components(spec):
+            if comp.piece.kind != AFFINE or not comp.piece.support:
+                continue
+            r, flips = drop_one_flips([spec.characters[i] for i in comp.piece.support])
+            expected = "affine" if flips == r else "undetermined"
+            assert classify_piece(spec, comp.piece) == comp.coarse == expected, spec.to_dict()
+            verdicts[expected] += 1
+    assert verdicts["affine"] and verdicts["undetermined"]
 
 
 def test_residual_signs_mod_scalar():

@@ -2,16 +2,14 @@ import dataclasses
 import json
 import random
 
+import pytest
+
+from mu2sod.euler import EulerError, gram_report
 from mu2sod.groups import dot, make_spec
+from mu2sod.mutations import apply_script, identity_sequence
 from mu2sod.inertia import components
 from mu2sod.presets import etale, p2_example, pn_full, quadric
-from mu2sod.sod import (
-    assemble,
-    grouped_block_order,
-    msodc_plan,
-    piece_label,
-    report_to_dict,
-)
+from mu2sod.sod import assemble, msodc_plan, piece_label, report_to_dict
 from mu2sod.verify import random_effective_projective_spec
 from test_oracle_sweep import random_spec
 
@@ -145,7 +143,7 @@ def test_msodc_plan_quadric_needs_moves():
 def test_grouped_block_order_contiguous():
     for spec in [p2_example(), quadric(2), pn_full(3)]:
         report = assemble(spec)
-        order = grouped_block_order(report)
+        order = msodc_plan(report).block_order
         seen = []
         for i in order:
             g = report.components[i].element
@@ -153,6 +151,112 @@ def test_grouped_block_order_contiguous():
                 seen.append(g)
             else:
                 assert seen[-1] == g  # same-element pieces stay contiguous
+
+
+def replayed_plan(report, gram):
+    """The plan as it was computed before its flags were projections: the
+    block moves of the target order, replayed on the identity sequence of
+    ``gram``, one record per move."""
+    target = [pos for _, positions in report.grouping for pos in positions]
+    order = list(range(len(report.components)))
+    steps = []
+    for t in range(len(target)):
+        p = order.index(target[t])
+        while p > t:
+            steps.append(p)
+            order.insert(p - 1, order.pop(p))
+            p -= 1
+    seq = identity_sequence(gram, tuple(c.rank for c in report.components))
+    _, records = apply_script(seq, [{"block": p, "direction": "left"} for p in steps])
+    return records, tuple(order)
+
+
+def passed_pairs(report):
+    """(moving block, passed block) of each plan move, original indices."""
+    order, pairs = list(range(len(report.components))), []
+    for move in msodc_plan(report).moves:
+        p = move.block
+        pairs.append((order[p], order[p - 1]))
+        order[p - 1], order[p] = order[p], order[p - 1]
+    return pairs
+
+
+def random_unipotent_reports(rng, count):
+    """Seeded classified projective specs whose canonical Gram is
+    unipotent, with their reports and Grams."""
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(1, 3)
+        rows = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(rng.randint(1, n + 1))]
+        spec = make_spec("projective", n, rows)
+        report = assemble(spec)
+        try:
+            result = gram_report(spec, report)
+        except EulerError:
+            continue
+        if result.triangular:
+            cases.append((report, result.matrix))
+    return cases
+
+
+def test_msodc_plan_flags_match_replay():
+    specs = [p2_example()] + [pn_full(n) for n in range(1, 7)]
+    cases = [(assemble(spec), gram_report(spec, assemble(spec)).matrix) for spec in specs]
+    cases += random_unipotent_reports(random.Random(83), 320)
+    moves = orthogonal = non_effective = 0
+    for report, gram in cases:
+        plan = msodc_plan(report, gram)
+        records, order = replayed_plan(report, gram)
+        assert plan.moves == tuple(records), report.spec.to_dict()
+        assert plan.block_order == order
+        moves += len(records)
+        orthogonal += sum(m.orthogonal for m in records)
+        non_effective += not report.effective
+    # both flags, and specs whose Gram needed character twists
+    assert 0 < orthogonal < moves and non_effective
+
+
+def test_msodc_plan_flags_match_replay_on_random_unipotent_grams():
+    # random forms on real block structures: here a moving block's current
+    # pairings differ from its original ones, so the projection decides
+    rng = random.Random(89)
+    reports = [assemble(spec) for spec in (p2_example(), pn_full(3), pn_full(4), quadric(2), quadric(3))]
+    reports += [report for report, _ in random_unipotent_reports(rng, 40)]
+    projected = 0
+    for report in reports:
+        n = report.total_rank
+        starts = [sum(c.rank for c in report.components[:i]) for i in range(len(report.components) + 1)]
+        pairs = passed_pairs(report)
+        for density in (0.05, 0.2, 0.5):
+            gram = [
+                [int(i == j) or (j > i and rng.random() < density) * rng.choice((-2, -1, 1, 2)) for j in range(n)]
+                for i in range(n)
+            ]
+            records, order = replayed_plan(report, gram)
+            plan = msodc_plan(report, gram)
+            assert plan.moves == tuple(records) and plan.block_order == order
+            for (moving, passed), record in zip(pairs, records):
+                original = not any(
+                    gram[a][e] for a in range(starts[passed], starts[passed + 1]) for e in range(starts[moving], starts[moving + 1])
+                )
+                projected += original != record.orthogonal
+    assert projected
+
+
+def test_msodc_plan_rejects_a_gram_that_is_not_unipotent():
+    report = assemble(p2_example())
+    gram = [list(row) for row in gram_report(p2_example(), report).matrix]
+    assert msodc_plan(report, gram).moves
+    below = [row[:] for row in gram]
+    below[5][2] = 1
+    diagonal = [row[:] for row in gram]
+    diagonal[3][3] = 2
+    short = [row[:-1] for row in gram]
+    for broken in (below, diagonal, short):
+        with pytest.raises(ValueError, match="unipotent"):
+            msodc_plan(report, broken)
+    with pytest.raises(ValueError, match="rows"):
+        msodc_plan(report, gram[:-1])
 
 
 def test_report_round_trip():
