@@ -210,8 +210,8 @@ def _empty_index(
     a target, a sum of s * m over the profile's terms, so it needs the
     largest sum of |s| times the largest |m| of a target's entries."""
     twists = {t for p in profiles for t, _ in p}
-    kinds = {(_char_values(spec, f.support), f.twist) for f in targets}
-    entries = {(chars, d - t) for chars, d in kinds for t in twists}
+    distinct = {(_char_values(spec, f.support), f.twist) for f in targets}
+    entries = {(chars, d - t) for chars, d in distinct for t in twists}
     multiplicities = [m for _, m in chain.from_iterable(starmap(_cohomology_entries, entries))]
     biggest = max(max(multiplicities, default=0), -min(multiplicities, default=0))
     bound = biggest * max((sum(map(abs, p.values())) for p in profiles), default=0)
@@ -234,11 +234,11 @@ def _file(
                 lanes[c ^ x] += m << shift
 
 
-def _packed_row(profile: _Profile, index: _Index, psi: int, start: int = 0) -> int:
-    """``start`` plus the pairings of the psi-twist of ``profile``'s object
-    with the indexed targets, packed one per lane: one big-int
-    multiply-add per profile term."""
-    return sum((s * index[t][x ^ psi] for (t, x), s in profile.items()), start)
+def _packed_row(profile: _Profile, index: _Index, psi: int) -> int:
+    """The pairings of the psi-twist of ``profile``'s object with the
+    indexed targets, one per lane: one big-int multiply-add per profile
+    term."""
+    return sum(s * index[t][x ^ psi] for (t, x), s in profile.items())
 
 
 def _unpack(packed: int, lane: int, count: int) -> list[int]:
@@ -258,17 +258,17 @@ def _unpack(packed: int, lane: int, count: int) -> list[int]:
 
 def gram(spec: ActionSpec, objects: list[KObject]) -> list[list[int]]:
     """Matrix of ``euler_pairing`` over all ordered pairs: one profile per
-    object, one packed target index for the matrix.  Each lane of a row
-    starts at half its range (the bias), so the packed sum has no borrow
-    across lanes, and XOR with the bias leaves each lane in two's
-    complement."""
+    object, one packed target index for the matrix.  Adding half of each
+    lane's range (the bias) makes every lane of a row nonnegative, so
+    its bytes are the lanes', and XOR with the bias leaves each lane in
+    two's complement."""
     _check_ambient(spec)
     profiles = [_profile(spec, e) for e in objects]
     index, lane = _empty_index(spec, profiles, objects)
     _file(spec, index, objects, 0, lane)
     n = len(objects)
     bias = int.from_bytes((1 << (8 * lane - 1)).to_bytes(lane, "little") * n, "little")
-    return [_unpack(_packed_row(p, index, 0, bias) ^ bias, lane, n) for p in profiles]
+    return [_unpack((_packed_row(p, index, 0) + bias) ^ bias, lane, n) for p in profiles]
 
 
 def canonical_generators(

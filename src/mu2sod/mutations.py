@@ -211,7 +211,7 @@ def blocks_orthogonal(seq: ExceptionalSequence, left: int, right: int) -> bool:
 class Move:
     block: int
     direction: str
-    orthogonal: bool | None  # None = unknown (no Gram to replay on)
+    orthogonal: bool | None  # None = unknown (no Gram given)
 
     def to_dict(self) -> dict:
         return {"block": self.block, "direction": self.direction, "orthogonal": self.orthogonal}
