@@ -162,6 +162,32 @@ def test_mutate_command(tmp_path, capsys):
     assert doc["blocks"] == [3, 2, 1, 2, 1, 2, 1]
 
 
+def inverse_script(script):
+    """The moves that undo ``script`` on a semiorthogonal sequence."""
+    undo = {"left": (-1, "right"), "right": (1, "left")}
+    return [
+        {"block": m["block"] + undo[m["direction"]][0], "direction": undo[m["direction"]][1]}
+        for m in reversed(script)
+    ]
+
+
+@pytest.mark.parametrize("name", ["p2-example", "pn-full-3"])
+def test_mutate_output_replays_back_to_its_input(capsys, tmp_path, name):
+    # the second replay starts from vectors read back from JSON, not the identity
+    mutated = golden_outputs(capsys, tmp_path, name)[f"mutate {name}"]
+    start = json.loads((tmp_path / f"{name}-seq.json").read_text())
+    script = json.loads((tmp_path / f"{name}-script.json").read_text())
+    assert json.loads(mutated)["vectors"] != start["vectors"]
+    seq_path, script_path = tmp_path / "mutated.json", tmp_path / "inverse.json"
+    seq_path.write_text(mutated)
+    script_path.write_text(json.dumps(inverse_script(script)))
+    code, out = run(capsys, "mutate", str(seq_path), "--script", str(script_path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert {key: doc[key] for key in start} == start
+    assert doc["semiorthogonal"] is True and doc["unimodular"] is True
+
+
 def test_mutate_bad_script(tmp_path, capsys):
     seq_path = tmp_path / "sequence.json"
     seq = identity_sequence(((1, 0), (0, 1)))

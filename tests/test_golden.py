@@ -2,10 +2,10 @@
 ``mutate`` on the projective preset ladder, of ``analyze`` and
 ``verify`` on projective, quadric and etale presets, of ``sod`` on the
 quadric presets, of the default ``verify`` battery and of each
-``verify --check`` name are pinned by SHA-256, as are ``gram`` and
-``sod`` on pn-full n=5, ``sod`` on pn-full n=6 and n=7 and ``gram`` on two
-seeded random projective specs (one of them needs character
-normalization).  The exit code and stderr line of three ``verify``
+``verify --check`` name are pinned by SHA-256, as are ``gram``,
+``sod`` and ``mutate`` on pn-full n=5, ``sod`` on pn-full n=6 and n=7
+and ``gram`` on two seeded random projective specs (one of them needs
+character normalization).  The exit code and stderr line of three ``verify``
 input errors are pinned as well.
 
 The mutate input is the identity sequence on the preset's Gram form,
@@ -58,8 +58,8 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def golden_outputs(capsys, tmp_path, name: str) -> dict[str, str]:
-    args = PRESETS[name]
+def golden_outputs(capsys, tmp_path, name: str, args=None) -> dict[str, str]:
+    args = PRESETS[name] if args is None else args
     gram_out = _run(capsys, ["gram", *args, "--json"])
     sod_out = _run(capsys, ["sod", *args, "--json"])
     gram_doc, sod_doc = json.loads(gram_out), json.loads(sod_out)
@@ -179,6 +179,7 @@ def test_golden_verify_input_errors(capsys, argv, line):
 LARGE_GOLDEN = {
     "gram pn-full-5": "e0182c9fc4a4d29fe8beca706a86a1cddd4a318a2871fe82b349beaca98bbd10",
     "sod pn-full-5": "96c8834d0f2c4920ac6860eeacf89c0ee77f637064907acc1bc8091e86895cf0",
+    "mutate pn-full-5": "4366eaa57dda1a1c4772f13ffb630f256aef174e05ada10e7ce95c3d1e413724",
     "sod pn-full-6": "1d14d6c5ec9f496463b46be153df3e72245370d2512e840d819ccfa0de5e14f1",
     "sod pn-full-7": "ae4544b0422653fa2865d3c5de8393c36bcc49823b6ea37ea0a79334f13f19f8",
 }
@@ -188,6 +189,16 @@ LARGE_GOLDEN = {
 def test_golden_pn_full_5_digests(capsys, command):
     text = _run(capsys, [command, "--preset", "pn-full", "--n", "5", "--json"])
     assert _digest(text) == LARGE_GOLDEN[f"{command} pn-full-5"]
+
+
+def test_golden_mutate_pn_full_5_digest(capsys, tmp_path):
+    # N=192: the 720 plan moves, then 360 undo moves, on one replay
+    outputs = golden_outputs(capsys, tmp_path, "pn-full-5", ["--preset", "pn-full", "--n", "5"])
+    doc = json.loads(outputs["mutate pn-full-5"])
+    assert (len(doc["vectors"]), len(doc["moves"])) == (192, 1080)
+    assert doc["semiorthogonal"] is True and doc["unimodular"] is True
+    for key, text in outputs.items():
+        assert _digest(text) == LARGE_GOLDEN[key], key
 
 
 def test_golden_sod_pn_full_6_digest(capsys):
