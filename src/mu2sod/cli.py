@@ -49,7 +49,11 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text, flush=True)
     except OSError as exc:
         # the interpreter's final flush of the unwritten rest must not fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         if not isinstance(exc, BrokenPipeError):  # a closed pipe is no error
             raise ValueError(f"cannot write output: {exc}") from exc
 

@@ -15,21 +15,22 @@ Blocks partition the positions into contiguous runs; block moves in
 ``apply_script`` compose elementwise mutations so that a whole block
 passes an adjacent one, then swap the two block sizes.
 
-Cost model.  A sequence carries G = V B V^T, computed once, so a
-pairing is a lookup.  Each public move and each ``apply_script`` builds
-one replay, an O(N^2) copy of (vectors, G, blocks) that maps positions
-to slots: an elementary mutation's swap is O(1) and its shear, skipped
-when the pairing is 0, is O(N).  The final checks never read the
-carried G.  ``is_semiorthogonal`` recomputes V B V^T with products that
-skip the zeros of V, and ``determinant`` is Bareiss elimination that
-skips the rows with no entry in the pivot column: about O(N^2 nnz) on
-vectors with nnz nonzero entries per row, O(N^3) on dense ones.
+Cost model.  A sequence is only (form, vectors, blocks).  Each public
+move and each ``apply_script`` builds one replay, which derives
+G = V B V^T once with the product that skips the zeros of V, about
+O(N^2 nnz) on vectors with nnz nonzero entries per row and O(N^3) on
+dense ones, and maps positions to slots: an elementary mutation's swap
+is O(1) and its shear, skipped when the pairing is 0, is O(N).  A chain
+of single-step calls pays that product on every call; ``apply_script``
+pays it once.  ``is_semiorthogonal`` uses the same product, and
+``determinant`` is Bareiss elimination that skips the rows with no
+entry in the pivot column, of the same order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -49,20 +50,11 @@ def _product(left: Matrix, right: Matrix) -> list[list[int]]:
     return out
 
 
-def _pairing_matrix(form: Matrix, vectors: Matrix) -> Matrix:
-    """V B V^T from scratch, as V (V B^T)^T: row j of V B^T is B v_j."""
-    form_vectors = _product(vectors, tuple(zip(*form)))
-    return tuple(map(tuple, _product(vectors, tuple(zip(*form_vectors)))))
-
-
 @dataclass(frozen=True)
 class ExceptionalSequence:
     form: Matrix
     vectors: Matrix
     blocks: tuple[int, ...]
-    # Pairing matrix V B V^T.  Callers leave it out and it is computed at
-    # construction; ``identity_sequence`` and a replay pass the one they know.
-    gram: Matrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.form)
@@ -72,19 +64,9 @@ class ExceptionalSequence:
             raise ValueError("need N lattice vectors of length N")
         if sum(self.blocks) != n or any(b <= 0 for b in self.blocks):
             raise ValueError("blocks must be a partition of the positions")
-        if self.gram is None:
-            object.__setattr__(self, "gram", _pairing_matrix(self.form, self.vectors))
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def block_bounds(self) -> list[tuple[int, int]]:
-        """Half-open position ranges of the blocks."""
-        out, start = [], 0
-        for size in self.blocks:
-            out.append((start, start + size))
-            start += size
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -124,28 +106,20 @@ def sequence_from_dict(doc: dict) -> ExceptionalSequence:
 
 
 def identity_sequence(form, blocks=None) -> ExceptionalSequence:
-    """Standard-basis sequence on a given form; one block per position
-    unless a block partition is supplied."""
+    """Standard-basis sequence on a given form, which is then its pairing
+    matrix; one block per position unless a block partition is supplied."""
     n = len(form)
     if blocks is None:
         blocks = (1,) * n
     form = tuple(tuple(r) for r in form)
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return ExceptionalSequence(form, identity, tuple(blocks), gram=form)
-
-
-def pairing(seq: ExceptionalSequence, i: int, j: int) -> int:
-    """v_i^T B v_j (0-based positions), read from the carried matrix."""
-    n = len(seq)
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"positions ({i}, {j}) out of range for N={n}")
-    return seq.gram[i][j]
+    return ExceptionalSequence(form, identity, tuple(blocks))
 
 
 def gram_matrix(seq: ExceptionalSequence) -> list[list[int]]:
-    """V B V^T recomputed from the form and the vectors; the carried
-    matrix is not read."""
-    return [list(r) for r in _pairing_matrix(seq.form, seq.vectors)]
+    """G = V B V^T, as V (V B^T)^T: row j of V B^T is B v_j."""
+    form_vectors = _product(seq.vectors, tuple(zip(*seq.form)))
+    return _product(seq.vectors, tuple(zip(*form_vectors)))
 
 
 def is_unipotent_upper(matrix: list[list[int]]) -> bool:
@@ -154,8 +128,7 @@ def is_unipotent_upper(matrix: list[list[int]]) -> bool:
 
 
 def is_semiorthogonal(seq: ExceptionalSequence) -> bool:
-    """pairing(i, i) = 1 for all i and pairing(i, j) = 0 for i > j,
-    checked on a recomputed pairing matrix."""
+    """pairing(i, i) = 1 for all i and pairing(i, j) = 0 for i > j."""
     return is_unipotent_upper(gram_matrix(seq))
 
 
@@ -201,12 +174,6 @@ def _orthogonal(g, left, right) -> bool:
     )
 
 
-def blocks_orthogonal(seq: ExceptionalSequence, left: int, right: int) -> bool:
-    """Whether two blocks pair to zero in both directions."""
-    bounds = seq.block_bounds()
-    return _orthogonal(seq.gram, range(*bounds[left]), range(*bounds[right]))
-
-
 @dataclass(frozen=True)
 class Move:
     block: int
@@ -218,27 +185,26 @@ class Move:
 
 
 class _Replay:
-    """Mutable copy of a sequence's vectors, pairing matrix and blocks.
+    """Mutable copy of a sequence's vectors and blocks, with the pairing
+    matrix G derived once from them.
 
-    Rows of V and rows and columns of G stay where they were copied;
+    Rows of V and rows and columns of G stay where they were made;
     ``slots[pos]`` is where the element at position ``pos`` lives, so the
     entry of G at positions (i, j) is ``gram[slots[i]][slots[j]]``.  Each
-    public mutation builds one, works on it and freezes the result;
+    public mutation builds one, works on it and freezes the vectors;
     ``apply_script`` runs all of its moves on one.
     """
 
     def __init__(self, seq: ExceptionalSequence) -> None:
         self.form = seq.form
         self.vectors = [list(v) for v in seq.vectors]
-        self.gram = [list(r) for r in seq.gram]
+        self.gram = gram_matrix(seq)
         self.blocks = list(seq.blocks)
         self.slots = list(range(len(seq)))
 
     def freeze(self) -> ExceptionalSequence:
-        slots = self.slots
-        vectors = tuple(tuple(self.vectors[s]) for s in slots)
-        gram = tuple(tuple(map(self.gram[s].__getitem__, slots)) for s in slots)
-        return ExceptionalSequence(self.form, vectors, tuple(self.blocks), gram)
+        vectors = tuple(tuple(self.vectors[s]) for s in self.slots)
+        return ExceptionalSequence(self.form, vectors, tuple(self.blocks))
 
     def braid(self, p: int, target: int) -> None:
         """Swap basis elements p and p+1, then subtract c = pairing(p, p+1)

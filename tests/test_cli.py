@@ -334,6 +334,20 @@ def test_full_stdout_is_an_input_error():
     assert err == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_pipe_leaks_no_descriptor(monkeypatch):
+    # in one process, as the benchmark and these tests call main
+    counts = [len(os.listdir("/proc/self/fd"))]
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            cli._emit("{}", None)
+        counts.append(len(os.listdir("/proc/self/fd")))
+    assert len(set(counts)) == 1, counts
+
+
 DEEP = "[" * 200_000
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 import pytest
@@ -11,7 +12,6 @@ from mu2sod.mutations import (
     ExceptionalSequence,
     Move,
     apply_script,
-    blocks_orthogonal,
     determinant,
     gram_matrix,
     identity_sequence,
@@ -20,7 +20,6 @@ from mu2sod.mutations import (
     move_block,
     mutate_left,
     mutate_right,
-    pairing,
     parse_script,
     sequence_from_dict,
 )
@@ -47,16 +46,14 @@ def p2_sequence():
 
 def test_pairing_and_semiorthogonality():
     seq = identity_sequence(B_UPPER)
-    assert pairing(seq, 0, 1) == 2
-    assert pairing(seq, 1, 0) == 0
+    g = gram_matrix(seq)
+    assert (g[0][1], g[1][0]) == (2, 0)
     assert is_semiorthogonal(seq)
     assert not is_semiorthogonal(identity_sequence(B_LOWER))  # pairing(1,0) = 3
 
 
 def test_pairing_index_errors():
     seq = identity_sequence(B_UPPER)
-    with pytest.raises(IndexError):
-        pairing(seq, 0, 2)
     with pytest.raises(IndexError):
         mutate_left(seq, 0)
     with pytest.raises(IndexError):
@@ -141,18 +138,18 @@ def test_p2_mutation_script_replay():
 
 def test_block_swap_of_orthogonal_line_blocks():
     seq = p2_sequence()
+    s1, s2, e2 = list(accumulate(seq.blocks, initial=0))[1:4]
     # blocks 1 and 2 are the V(x) and V(y) line blocks: orthogonal both ways
-    assert blocks_orthogonal(seq, 1, 2)
+    old = gram_matrix(seq)
+    assert not any(old[i][j] or old[j][i] for i in range(s1, s2) for j in range(s2, e2))
     swapped, record = move_block(seq, 2, "left")
     assert record.orthogonal
     # a fully orthogonal move is a pure transposition of the classes
-    (s1, e1), (s2, e2) = seq.block_bounds()[1], seq.block_bounds()[2]
     assert swapped.vectors[s1 : s1 + (e2 - s2)] == seq.vectors[s2:e2]
-    assert swapped.vectors[s1 + (e2 - s2) : e2] == seq.vectors[s1:e1]
+    assert swapped.vectors[s1 + (e2 - s2) : e2] == seq.vectors[s1:s2]
     assert is_semiorthogonal(swapped)
     # gram of the swapped sequence is the original conjugated by the swap
     perm = [0, 1, 2, 5, 6, 3, 4, 7, 8, 9, 10, 11]
-    old = gram_matrix(seq)
     new = gram_matrix(swapped)
     assert all(
         new[i][j] == old[perm[i]][perm[j]] for i in range(12) for j in range(12)
@@ -301,6 +298,11 @@ def random_partition(rng, n):
     return tuple(blocks)
 
 
+def replay_gram(replay):
+    """A replay's G in position order, read through its slots."""
+    return [[replay.gram[s][t] for t in replay.slots] for s in replay.slots]
+
+
 def test_carried_gram_matches_recomputed_after_every_move():
     rng = random.Random(67)
     seen_flags = set()
@@ -310,24 +312,29 @@ def test_carried_gram_matches_recomputed_after_every_move():
         if len(blocks) < 2:
             continue
         start = seq = identity_sequence(random_unipotent_form(rng, n), blocks)
+        replay = mutations._Replay(start)
         script = random_block_script(rng, blocks, rng.randint(1, 12))
         records = []
         for move in script:
             block = move["block"]
             other = block - 1 if move["direction"] == "left" else block + 1
-            (ls, le), (rs, re) = sorted(seq.block_bounds()[b] for b in (block, other))
+            bounds = list(accumulate(seq.blocks, initial=0))
+            (ls, le), (rs, re) = sorted((bounds[b], bounds[b + 1]) for b in (block, other))
             g = gram_matrix(seq)  # both off-diagonal blocks before the move
             orthogonal = not any(g[i][j] or g[j][i] for i in range(ls, le) for j in range(rs, re))
-            seq, record = move_block(seq, block, move["direction"])
+            record = replay.move(block, move["direction"])
             assert record.orthogonal is orthogonal
             records.append(record)
-            assert [list(r) for r in seq.gram] == gram_matrix(seq)
+            # a fresh move from the frozen sequence derives its own G
+            seq, fresh = move_block(seq, block, move["direction"])
+            assert fresh == record and replay.freeze() == seq
+            assert replay_gram(replay) == gram_matrix(seq)
             assert is_semiorthogonal(seq)
         assert is_unimodular(seq)
         seen_flags.update(r.orthogonal for r in records)
         # a whole script on one working copy matches the move-by-move replay
         final, script_records = apply_script(start, script)
-        assert final == seq and final.gram == seq.gram
+        assert final == seq
         assert script_records == records
     assert seen_flags == {False, True}
 
@@ -337,22 +344,22 @@ def test_carried_gram_after_elementary_mutations_and_reload():
     for _ in range(40):
         n = rng.randint(2, 8)
         seq = identity_sequence(random_unipotent_form(rng, n))
+        replay = mutations._Replay(seq)
         for _ in range(rng.randint(1, 15)):
             if rng.random() < 0.5:
-                seq = mutate_left(seq, rng.randint(1, n - 1))
+                i = rng.randint(1, n - 1)
+                seq = mutate_left(seq, i)
+                replay.braid(i - 1, i - 1)
             else:
-                seq = mutate_right(seq, rng.randint(0, n - 2))
-            assert [list(r) for r in seq.gram] == gram_matrix(seq)
-        # a sequence rebuilt from its JSON recomputes the same matrix
+                i = rng.randint(0, n - 2)
+                seq = mutate_right(seq, i)
+                replay.braid(i, i + 1)
+            assert replay.freeze() == seq
+            assert replay_gram(replay) == gram_matrix(seq)
+        # a sequence rebuilt from its JSON derives the same matrix
         reloaded = sequence_from_dict(json.loads(json.dumps(seq.to_dict())))
-        assert reloaded.gram == seq.gram
-
-
-def test_is_semiorthogonal_ignores_carried_gram():
-    seq = identity_sequence(B_LOWER)
-    forged = ExceptionalSequence(seq.form, seq.vectors, seq.blocks, B_UPPER)
-    assert pairing(forged, 1, 0) == 0  # the lookup trusts the carried matrix
-    assert not is_semiorthogonal(forged)  # the oracle recomputes it
+        assert reloaded == seq
+        assert mutations._Replay(reloaded).gram == replay_gram(replay)
 
 
 def test_sequence_from_dict_rejects_non_integers():
@@ -532,12 +539,11 @@ class ReferenceReplay:
     def __init__(self, seq):
         self.form = seq.form
         self.vectors = [list(v) for v in seq.vectors]
-        self.gram = [list(r) for r in seq.gram]
+        self.gram = gram_matrix(seq)
         self.blocks = list(seq.blocks)
 
     def freeze(self):
-        vectors, gram = tuple(map(tuple, self.vectors)), tuple(map(tuple, self.gram))
-        return ExceptionalSequence(self.form, vectors, tuple(self.blocks), gram)
+        return ExceptionalSequence(self.form, tuple(map(tuple, self.vectors)), tuple(self.blocks))
 
     def braid(self, p, target):
         q = p + 1
@@ -574,18 +580,20 @@ class ReferenceReplay:
         return Move(block, direction, orthogonal)
 
 
-def assert_same_sequence(seq, expected):
+def assert_same_sequence(replay, reference):
+    seq, expected = replay.freeze(), reference.freeze()
     assert seq.vectors == expected.vectors
-    assert seq.gram == expected.gram
     assert seq.blocks == expected.blocks
+    assert replay_gram(replay) == reference.gram
 
 
 def assert_replay_matches_reference(seq, script):
-    final, records = apply_script(seq, script)
-    reference = ReferenceReplay(seq)
+    replay, reference = mutations._Replay(seq), ReferenceReplay(seq)
+    records = [replay.move(m["block"], m["direction"]) for m in script]
     expected_records = [reference.move(m["block"], m["direction"]) for m in script]
-    assert_same_sequence(final, reference.freeze())
+    assert_same_sequence(replay, reference)
     assert records == expected_records
+    assert apply_script(seq, script) == (replay.freeze(), records)
     return records
 
 
@@ -607,12 +615,12 @@ def test_replay_matches_reference_on_random_forms():
         # elementary mutations, one replay each
         for _ in range(4):
             i = rng.randint(1, n - 1)
-            reference = ReferenceReplay(seq)
-            reference.braid(i - 1, i - 1)
-            assert_same_sequence(mutate_left(seq, i), reference.freeze())
-            reference = ReferenceReplay(seq)
-            reference.braid(i - 1, i)
-            assert_same_sequence(mutate_right(seq, i - 1), reference.freeze())
+            for mutate, position, target in ((mutate_left, i, i - 1), (mutate_right, i - 1, i)):
+                replay, reference = mutations._Replay(seq), ReferenceReplay(seq)
+                replay.braid(i - 1, target)
+                reference.braid(i - 1, target)
+                assert_same_sequence(replay, reference)
+                assert mutate(seq, position) == replay.freeze()
     assert flags == {False, True}
     assert len(diagonals - {1}) > 2
 
