@@ -1,8 +1,12 @@
+import ast
 import itertools
 import random
+import sys
 from collections import Counter
 from math import comb
+from pathlib import Path
 
+import lefschetz
 import pytest
 
 from mu2sod import euler
@@ -19,7 +23,7 @@ from mu2sod.euler import (
     koszul,
 )
 from mu2sod.groups import is_effective, make_spec
-from mu2sod.presets import etale, p2_example, pn_full
+from mu2sod.presets import etale, p2_example, pn_full, quadric
 from mu2sod.sod import assemble
 from test_golden import seeded_projective_spec
 
@@ -738,3 +742,101 @@ def test_packed_gram_matches_reference_on_golden_normalized_spec():
     for spec in [p2_example(), pn_full(3), pn_full(4), pn_full(5)]:
         objects, _ = canonical_generators(spec, assemble(spec))
         assert gram(spec, objects) == reference_gram(spec, objects)
+
+
+# The Lefschetz trace of ``tests/lefschetz.py`` shares no code with the
+# package: it checks ``gram`` and the Koszul reference from outside.
+
+
+def trace_matrix(spec, objects):
+    return [[lefschetz.pairing(spec.characters, spec.rank, e, f) for f in objects] for e in objects]
+
+
+def test_lefschetz_oracle_imports_only_the_standard_library():
+    # independence: no route to koszul, _cohomology_entries, _parity_classes,
+    # _profile or the index helpers of gram
+    tree = ast.parse(Path(lefschetz.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            imported.add(node.module.partition(".")[0])
+        else:
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            assert name not in ("__import__", "import_module"), "dynamic import"
+    assert "json" in imported and "mu2sod" not in imported
+    assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
+
+
+def test_lefschetz_trace_matches_gram_and_koszul_pairing():
+    # 12 random objects on each spec, twists from -6 to 6: 3,744 pairs
+    rng = random.Random(97)
+    drawn = []
+    while len(drawn) < 20:
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        drawn.append(make_spec("projective", n, [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(k)]))
+    assert {is_effective(spec) for spec in drawn} == {True, False}
+    branches = set()
+    for spec in [p2_example(), pn_full(2), pn_full(3), *drawn, quadric(1), quadric(2), quadric(3)]:
+        objects = _objects_with_twists(rng, spec, 12, range(-6, 7))
+        assert gram(spec, objects) == trace_matrix(spec, objects) == pairwise_gram(spec, objects)
+        branches |= _branches(spec, objects)
+    assert branches == {"sections", "window", "serre"}
+
+
+def test_lefschetz_trace_matches_canonical_grams():
+    for spec in [p2_example(), pn_full(1), pn_full(2), pn_full(3)]:
+        objects, _ = canonical_generators(spec, assemble(spec))
+        assert gram(spec, objects) == trace_matrix(spec, objects)
+
+
+def test_lefschetz_trace_matches_sampled_large_grams():
+    # pn-full n = 6 (N = 448) and the golden normalized spec (N = 160),
+    # whose objects carry the normalization's twists
+    rng = random.Random(101)
+    pn6 = pn_full(6)
+    objects, _ = canonical_generators(pn6, assemble(pn6))
+    normalized = seeded_projective_spec(0, 4, 5, False)
+    result = gram_report(normalized, assemble(normalized))
+    assert result.normalized and any(o.char for o in result.objects) and len(result.objects) == 160
+    cases = [(pn6, objects, gram(pn6, objects), 300), (normalized, result.objects, result.matrix, 400)]
+    for spec, objects, matrix, samples in cases:
+        entries = Counter()
+        for _ in range(samples):
+            i, j = rng.randrange(len(objects)), rng.randrange(len(objects))
+            entries[matrix[i][j] != 0] += 1
+            assert matrix[i][j] == lefschetz.pairing(spec.characters, spec.rank, objects[i], objects[j]), (i, j)
+        assert entries[True] and entries[False]
+
+
+def test_k_theory_shadow_on_seeded_specs():
+    # On an effective action whose inertia components are all classified,
+    # the canonical Gram is unipotent upper triangular with diagonal blocks
+    # C(m + b - a, m) and trivial characters; non-effective specs lie
+    # outside the hypothesis and are only counted.
+    rng = random.Random(103)
+    effective = outside = 0
+    while effective < 200:
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        spec = make_spec("projective", n, [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(k)])
+        report = assemble(spec)
+        try:
+            canonical_generators(spec, report)
+        except EulerError:
+            continue
+        if not is_effective(spec):
+            outside += 1
+            continue
+        result = gram_report(spec, report)
+        assert result.triangular and not result.normalized, spec.to_dict()
+        start = 0
+        for size in result.block_sizes:
+            block = [list(row[start : start + size]) for row in result.matrix[start : start + size]]
+            m = size - 1
+            assert block == [[comb(m + b - a, m) if b >= a else 0 for b in range(size)] for a in range(size)]
+            start += size
+        effective += 1
+    assert outside
