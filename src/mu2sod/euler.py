@@ -2,27 +2,16 @@
 
 Works on the ambient projective space of a spec.  A ``KObject``
 (support T, twist d, character chi) stands for the K-class of the
-pushforward of O_{P(V_T)}(d) tensored with chi.  Three ingredients give
-the G-invariant Euler pairing:
-
-* ``cohomology``: H^*(P(V_T), O(e)) as a virtual character vector.
-  Global sections are spanned by degree-e monomials in T's coordinates,
-  each an eigenvector whose character is the mod-2 exponent pattern;
-  top cohomology (e <= -|T|) is spanned by inverse monomials with all
-  exponents >= 1 and contributes with sign (-1)^(|T|-1); everything in
-  between vanishes.  Multiplicities are counted per parity class of the
-  exponent vector, not by enumerating monomials, and only the nonzero
-  (character, multiplicity) entries are kept.
-* ``koszul``: the equivariant Koszul resolution of O_{P(V_T)}(d) chi by
-  ambient line bundles, one term per subset of the complementary
-  coordinates.
-* ``euler_pairing``: resolve the first argument by ``koszul``, restrict
-  each line-bundle term to the second argument's support, and read off
-  the multiplicity of the trivial character.  It is the per-pair
-  reference for the matrix routines below.
-
-Characters are self-inverse, so all character bookkeeping is XOR on
-their int encodings.
+pushforward of O_{P(V_T)}(d) tensored with chi.  Its Koszul complex
+resolves it by ambient line bundles, one term (d - |S|, chi + chi_S)
+with sign (-1)^|S| per subset S of the coordinates off T, and a term
+(t, x) pairs with (T', d', chi') as the multiplicity of chi' + x in
+H^*(P(V_T'), O(d' - t)).  Global sections are spanned by monomials,
+each an eigenvector whose character is the mod-2 exponent pattern; top
+cohomology (e <= -|T'|) by inverse monomials with all exponents >= 1,
+with sign (-1)^(|T'|-1); in between it vanishes.  Characters are
+self-inverse, so all character bookkeeping is XOR on their int
+encodings.
 
 Cost model.  An object's Koszul terms are read off the cached parity
 table of its complement's characters into a profile: the terms summed
@@ -132,50 +121,6 @@ def _cohomology_entries(chars: tuple[int, ...], e: int) -> tuple[tuple[int, int]
     return tuple(entries.items())
 
 
-def cohomology(spec: ActionSpec, support: tuple[int, ...], e: int) -> tuple[int, ...]:
-    """H^*(P(V_T), O(e)) as multiplicities per character value."""
-    _check_ambient(spec)
-    support = tuple(sorted(support))
-    if not support:
-        raise EulerError("cohomology needs a nonempty support")
-    out = [0] * (1 << spec.rank)
-    for value, m in _cohomology_entries(_char_values(spec, support), e):
-        out[value] = m
-    return tuple(out)
-
-
-def koszul(spec: ActionSpec, obj: KObject) -> list[tuple[int, int, int]]:
-    """Koszul resolution terms (twist, character value, sign).
-
-    One term per subset S of the complement of the support:
-    (d - |S|, chi XOR sum of S's coordinate characters, (-1)^|S|).
-    """
-    _check_ambient(spec)
-    complement = [i for i in range(spec.num_coords) if i not in set(obj.support)]
-    comp_chars = _char_values(spec, complement)
-    terms = []
-    for mask in range(1 << len(complement)):
-        value = obj.char
-        size = 0
-        for i, cv in enumerate(comp_chars):
-            if (mask >> i) & 1:
-                value ^= cv
-                size += 1
-        terms.append((obj.twist - size, value, -1 if size % 2 else 1))
-    return terms
-
-
-def euler_pairing(spec: ActionSpec, first: KObject, second: KObject) -> int:
-    """G-invariant Euler pairing chi^G(first, second)."""
-    _check_ambient(spec)
-    target_chars = _char_values(spec, second.support)
-    total = 0
-    for twist, char_value, sign in koszul(spec, first):
-        entries = dict(_cohomology_entries(target_chars, second.twist - twist))
-        total += sign * entries.get(second.char ^ char_value, 0)
-    return total
-
-
 # (twist, character value) -> summed sign of the Koszul terms there
 _Profile = dict[tuple[int, int], int]
 
@@ -257,7 +202,7 @@ def _unpack(packed: int, lane: int, count: int) -> list[int]:
 
 
 def gram(spec: ActionSpec, objects: list[KObject]) -> list[list[int]]:
-    """Matrix of ``euler_pairing`` over all ordered pairs: one profile per
+    """chi^G over all ordered pairs of ``objects``: one profile per
     object, one packed target index for the matrix.  Adding half of each
     lane's range (the bias) makes every lane of a row nonnegative, so
     its bytes are the lanes', and XOR with the bias leaves each lane in

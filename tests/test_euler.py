@@ -15,12 +15,9 @@ from mu2sod.euler import (
     KObject,
     canonical_generators,
     character_normalization,
-    cohomology,
-    euler_pairing,
     gram,
     gram_report,
     is_unipotent_upper,
-    koszul,
 )
 from mu2sod.groups import is_effective, make_spec
 from mu2sod.presets import etale, p2_example, pn_full, quadric
@@ -28,6 +25,50 @@ from mu2sod.sod import assemble
 from test_golden import seeded_projective_spec
 
 TRIV2 = 0
+
+
+# The Koszul-expansion reference for ``euler._profile`` and ``gram``.
+
+
+def koszul(spec, obj):
+    """Koszul resolution terms (twist, character value, sign).
+
+    One term per subset S of the complement of the support:
+    (d - |S|, chi XOR sum of S's coordinate characters, (-1)^|S|).
+    """
+    euler._check_ambient(spec)
+    complement = [i for i in range(spec.num_coords) if i not in set(obj.support)]
+    comp_chars = euler._char_values(spec, complement)
+    terms = []
+    for mask in range(1 << len(complement)):
+        value = obj.char
+        size = 0
+        for i, cv in enumerate(comp_chars):
+            if (mask >> i) & 1:
+                value ^= cv
+                size += 1
+        terms.append((obj.twist - size, value, -1 if size % 2 else 1))
+    return terms
+
+
+def euler_pairing(spec, first, second):
+    """G-invariant Euler pairing chi^G(first, second)."""
+    euler._check_ambient(spec)
+    target_chars = euler._char_values(spec, second.support)
+    total = 0
+    for twist, char_value, sign in koszul(spec, first):
+        entries = dict(euler._cohomology_entries(target_chars, second.twist - twist))
+        total += sign * entries.get(second.char ^ char_value, 0)
+    return total
+
+
+def cohomology(spec, support, e):
+    """H^*(P(V_T), O(e)) as multiplicities per character value, from
+    ``euler._cohomology_entries``."""
+    out = [0] * (1 << spec.rank)
+    for value, m in euler._cohomology_entries(tuple(spec.characters[i] for i in support), e):
+        out[value] = m
+    return tuple(out)
 
 
 def brute_cohomology(spec, support, e):
@@ -133,10 +174,11 @@ def test_cohomology_dimension_counts():
 
 
 def test_cohomology_errors():
+    # pairings need a proper ambient space
     with pytest.raises(EulerError):
-        cohomology(p2_example(), (), 1)
+        gram(etale(2, 1), [KObject((0,), 0, TRIV2)])
     with pytest.raises(EulerError):
-        cohomology(etale(2, 1), (0,), 1)
+        canonical_generators(etale(2, 1), assemble(etale(2, 1)))
 
 
 def test_quadric_ambient_cohomology_allowed():
@@ -569,26 +611,18 @@ def test_character_normalization_matches_pairwise_greedy():
             assert character_normalization(spec, objects, tuple(sizes)) == expected
 
 
-def test_gram_report_expands_each_object_once(monkeypatch):
+def test_gram_report_expands_each_object_once():
     # the seeded golden spec whose Gram needs character normalization
     spec = seeded_projective_spec(0, 4, 5, False)
     report = assemble(spec)
     objects, sizes = canonical_generators(spec, report)
-    calls = []
-
-    def counting_koszul(spec, obj):
-        calls.append(obj)
-        return koszul(spec, obj)
-
-    monkeypatch.setattr(euler, "koszul", counting_koszul)
     for cache in (euler._parity_classes, euler._cohomology_entries):
         cache.cache_clear()
     result = gram_report(spec, report)
     assert result.normalized and result.triangular
     assert len(result.matrix) == 160
-    # profiles come from the parity table, never from koszul, and each
-    # support or complement character tuple is enumerated once
-    assert calls == []
+    # profiles come from the parity table, and each support or complement
+    # character tuple is enumerated once
     char_tuples = {
         tuple(c for i, c in enumerate(spec.characters) if (i in obj.support) == inside)
         for obj in objects
@@ -596,11 +630,6 @@ def test_gram_report_expands_each_object_once(monkeypatch):
     }
     assert euler._parity_classes.cache_info().misses == len(char_tuples)
     matrix = gram(spec, list(result.objects))
-    assert calls == []
-    # the reference pairing still expands its first argument by koszul
-    euler_pairing(spec, objects[0], objects[1])
-    assert calls == [objects[0]]
-    monkeypatch.undo()
     # the normalized matrix is the Gram of the twisted objects
     assert [list(r) for r in result.matrix] == matrix
     assert list(result.twists) == character_normalization(spec, objects, sizes)
