@@ -1,5 +1,6 @@
 import enum
 import hashlib
+import io
 import json
 import os
 import random
@@ -312,13 +313,17 @@ def cli_process(*argv, stdout) -> subprocess.Popen:
     return subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE, env=env)
 
 
+# 372,813 bytes of --json, written a piece at a time
+GRAM_N5 = ["gram", "--json", "--preset", "pn-full", "--n", "5"]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["analyze", "--preset", "pn-full", "--n", "10"], ["sod", "--json", "--preset", "pn-full", "--n", "5"]],
-    ids=["analyze", "sod-json"],
+    [["analyze", "--preset", "pn-full", "--n", "10"], ["sod", "--json", "--preset", "pn-full", "--n", "5"], GRAM_N5],
+    ids=["analyze", "sod-json", "gram-json"],
 )
 def test_closed_stdout_pipe_is_quiet(argv):
-    # about 100 kB of output, more than a pipe holds: the writer meets the closed end
+    # 100 kB of output or more, more than a pipe holds: the writer meets the closed end
     with cli_process(*argv, stdout=subprocess.PIPE) as proc:
         assert proc.stdout.readline()
         proc.stdout.close()
@@ -328,10 +333,47 @@ def test_closed_stdout_pipe_is_quiet(argv):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_full_stdout_is_an_input_error():
-    with open("/dev/full", "w") as full, cli_process("analyze", "--preset", "p2-example", stdout=full) as proc:
-        err = proc.stderr.read().decode()
-    assert proc.returncode == 2
-    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+    # a table written whole, and a Gram whose first buffer of text fails
+    for argv in (["analyze", "--preset", "p2-example"], GRAM_N5):
+        with open("/dev/full", "w") as full, cli_process(*argv, stdout=full) as proc:
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 2, argv
+        assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_streamed_out_file_matches_stdout(tmp_path):
+    target = tmp_path / "gram.json"
+    with cli_process(*GRAM_N5, stdout=subprocess.PIPE) as proc:
+        stdout, err = proc.communicate()
+    with cli_process(*GRAM_N5, "--out", str(target), stdout=subprocess.PIPE) as proc:
+        quiet, err_out = proc.communicate()
+    assert (err, err_out, quiet) == (b"", b"", b"")
+    assert len(stdout) == 372_813
+    assert target.read_bytes() == stdout
+
+
+class RecordingStdout(io.StringIO):
+    """A stdout that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_json_is_written_as_it_is_produced(monkeypatch):
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(GRAM_N5) == 0
+    text = stdout.getvalue()
+    matrix = json.loads(text)["matrix"]
+    # a row's text as the document holds it, at the matrix's nesting level
+    row_text = max(len(json.dumps(row, indent=2).replace("\n", "\n    ")) for row in matrix)
+    assert len(text) == 372_813 and row_text < 4096
+    assert max(stdout.sizes) <= row_text
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -632,6 +674,8 @@ def test_dump_int_lists_match_json_dumps():
         (Count(-1), Count(-257)),
         [Sign.MINUS, 256, 257, Sign.BIG],
         {"rows": [[-256, 256], [-257, 257], [10**30], [0, True]]},
+        [(1, 0, -257), (0, 1, 2**70), (), (Count(5), True)],  # tuple rows, a Gram's shape
+        {"matrix": ((1, 2), (0, 1)), "mixed": [(0,), [1, 2], ()]},
     ]
     for doc in docs:
         assert cli._dump(doc) == reference_dump(doc), doc
