@@ -37,16 +37,23 @@ def _fail(message: str) -> int:
     return INPUT_ERROR
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text, out_path: str | None) -> None:
+    """Write ``text``, a str or an iterable of str pieces, and a newline to
+    ``out_path`` or stdout, each piece as it comes: a failed write leaves
+    what came before it."""
+    pieces = (text,) if isinstance(text, str) else text
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.writelines(pieces)
+                fh.write("\n")
         except OSError as exc:
             raise ValueError(f"cannot write {out_path}: {exc}") from exc
         return
     try:
-        print(text, flush=True)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
     except OSError as exc:
         # the interpreter's final flush of the unwritten rest must not fail
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -56,6 +63,11 @@ def _emit(text: str, out_path: str | None) -> None:
             os.close(devnull)
         if not isinstance(exc, BrokenPipeError):  # a closed pipe is no error
             raise ValueError(f"cannot write output: {exc}") from exc
+
+
+def _emit_json(doc, out_path: str | None) -> None:
+    """Write ``doc`` as ``_dump`` would, a piece at a time."""
+    _emit(_write(doc, "\n"), out_path)
 
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii
@@ -72,7 +84,7 @@ def _dump(doc) -> str:
     column per key: the key texts are formatted once, each column by the
     same rule, and one join per record puts the records together.
     """
-    return "".join(_write(doc, [], "\n"))
+    return "".join(_write(doc, "\n"))
 
 
 def _key(key) -> str:
@@ -97,11 +109,11 @@ def _column(values, newline: str):
     if types <= {type(None), bool}:
         return map(_LITERALS.__getitem__, values)
     inner = newline + "  "
-    if types == {list}:
+    if types <= {list, tuple}:  # a row at a time, as the writer asks
         separator = "," + inner
-        return [
+        return (
             f"[{inner}{separator.join(_column(v, inner))}{newline}]" if v else "[]" for v in values
-        ]
+        )
     keys = types == {dict} and values[0].keys()
     if keys and all(map(keys.__eq__, map(dict.keys, values))) and {*map(type, keys)} == {str}:
         columns, opener = [], "{"
@@ -110,34 +122,33 @@ def _column(values, newline: str):
             columns += repeat(f"{opener}{inner}{_ENCODE_STR(key)}: "), column
             opener = ","
         return map("".join, zip(*columns, repeat(newline + "}")))
-    # mixed types, subclasses, floats, tuples, records whose keys differ
-    return ["".join(_write(value, [], newline)) for value in values]
+    # mixed types, subclasses, floats, records whose keys differ
+    return ("".join(_write(value, newline)) for value in values)
 
 
-def _write(value, out: list[str], newline: str) -> list[str]:
-    """Append ``value`` to ``out`` and return ``out``; ``newline`` is the
-    line break and indentation of its own nesting level."""
+def _write(value, newline: str):
+    """The text of ``value`` in pieces; ``newline`` is the line break and
+    indentation of its own nesting level."""
     if isinstance(value, str):
-        out.append(_ENCODE_STR(value))
+        yield _ENCODE_STR(value)
     elif value is None or value is True or value is False:
-        out.append(_LITERALS[value])
+        yield _LITERALS[value]
     elif isinstance(value, int):  # json.dumps writes any int subclass as int.__repr__
-        out.append(int.__repr__(value))
+        yield int.__repr__(value)
     elif isinstance(value, dict):
         inner, opener = newline + "  ", "{"
         for key, item in sorted(value.items()):  # raw keys, so 2 sorts before 10
-            out.append(f"{opener}{inner}{_ENCODE_STR(_key(key))}: ")
-            _write(item, out, inner)
+            yield f"{opener}{inner}{_ENCODE_STR(_key(key))}: "
+            yield from _write(item, inner)
             opener = ","
-        out.append(newline + "}" if value else "{}")
+        yield newline + "}" if value else "{}"
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
-        out.append("[")  # an element per piece: a big matrix is joined only once
-        out += chain.from_iterable(zip(repeat(inner), _column(value, inner), repeat(",")))
-        out[-1] = newline + "]" if value else "[]"
+        openers = chain(["[" + inner], repeat("," + inner))  # a big matrix is never joined
+        yield from chain.from_iterable(zip(openers, _column(value, inner)))
+        yield newline + "]" if value else "[]"
     else:
-        out.append(json.dumps(value))
-    return out
+        yield json.dumps(value)
 
 
 def _load_spec(args) -> ActionSpec:
@@ -163,7 +174,7 @@ def cmd_analyze(args) -> int:
     report = assemble(spec)
     if args.json:
         doc = report_to_dict(report)
-        _emit(_dump({"components": doc["components"], "flags": doc["flags"]}), args.out)
+        _emit_json({"components": doc["components"], "flags": doc["flags"]}, args.out)
         return OK
     lines = [f"{'pos':>3}  {'element':>8}  {'piece':<14} {'dim':>3}  {'coarse':<16} {'rank':>4}"]
     for pos, comp in enumerate(report.components):
@@ -196,7 +207,7 @@ def cmd_sod(args) -> int:
         doc = report_to_dict(report)
         doc["msodc"] = plan.to_dict()
         doc["msodc"]["grouped_labels"] = grouped_labels
-        _emit(_dump(doc), args.out)
+        _emit_json(doc, args.out)
         return OK
     lines = [f"decomposition ({len(report.components)} pieces, total rank {report.total_rank}):"]
     lines.append("  " + " > ".join(piece_label(c) for c in report.components))
@@ -219,7 +230,7 @@ def cmd_gram(args) -> int:
     report = assemble(spec)
     result = gram_report(spec, report)
     if args.json:
-        _emit(_dump(result.to_dict()), args.out)
+        _emit_json(result.to_dict(), args.out)
         return OK
     lines = [f"blocks: {list(result.block_sizes)}"]
     if result.normalized:
@@ -249,7 +260,7 @@ def cmd_mutate(args) -> int:
     doc["semiorthogonal"] = mutations.is_semiorthogonal(final)
     doc["unimodular"] = mutations.is_unimodular(final)
     if args.json:
-        _emit(_dump(doc), args.out)
+        _emit_json(doc, args.out)
     else:
         lines = [
             f"applied {len(records)} moves; semiorthogonal={doc['semiorthogonal']}"
@@ -300,7 +311,7 @@ def _verify_checks(args) -> list[verify.CheckResult]:
 def cmd_verify(args) -> int:
     results = _verify_checks(args)
     if args.json:
-        _emit(_dump([dataclasses.asdict(r) for r in results]), args.out)
+        _emit_json([dataclasses.asdict(r) for r in results], args.out)
     else:
         _emit("\n".join(r.line() for r in results), args.out)
     return CHECK_FAILED if any(r.status == verify.FAIL for r in results) else OK

@@ -55,11 +55,7 @@ class EulerError(ValueError):
 
 @dataclass(frozen=True)
 class KObject:
-    """Class of the pushforward of O_{P(V_T)}(twist) tensor char.
-
-    A single-coordinate support is a skyscraper whatever the twist, so
-    the twist is normalized to 0 there.
-    """
+    """Class of the pushforward of O_{P(V_T)}(twist) tensor char."""
 
     support: tuple[int, ...]
     twist: int
@@ -69,8 +65,6 @@ class KObject:
         if not self.support:
             raise ValueError("KObject needs a nonempty support")
         object.__setattr__(self, "support", tuple(sorted(self.support)))
-        if len(self.support) == 1:
-            object.__setattr__(self, "twist", 0)
 
     def twisted(self, psi: int) -> KObject:
         return replace(self, char=self.char ^ psi)
@@ -293,7 +287,7 @@ class GramResult:
     def to_dict(self) -> dict:
         return {
             "blocks": list(self.block_sizes),
-            "matrix": [list(r) for r in self.matrix],
+            "matrix": self.matrix,
             "objects": [
                 {"support": list(o.support), "twist": o.twist, "char": bit_list(o.char, self.rank)}
                 for o in self.objects

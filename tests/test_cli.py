@@ -524,14 +524,15 @@ LADDER = {
 
 
 def test_dump_matches_json_dumps_on_every_command(monkeypatch, capsys, tmp_path):
+    # every command writes its --json document through cli._emit_json
     documents = []
-    writer = cli._dump
+    writer, emit_json = cli._dump, cli._emit_json
 
-    def recording_dump(doc):
+    def recording_emit_json(doc, out_path):
         documents.append(doc)
-        return writer(doc)
+        emit_json(doc, out_path)
 
-    monkeypatch.setattr(cli, "_dump", recording_dump)
+    monkeypatch.setattr(cli, "_emit_json", recording_emit_json)
     for name, args in LADDER.items():
         for command in ("analyze", "sod", "verify"):
             assert main([command, *args, "--json"]) == 0

@@ -237,9 +237,22 @@ def test_pairing_lines_and_points():
     assert euler_pairing(spec, p_sky, v_x) == 0
 
 
-def test_skyscraper_twist_normalized():
-    obj = KObject((1,), 7, TRIV2)
-    assert obj.twist == 0
+def test_skyscraper_twist_is_a_character():
+    # O(d) at the point [e_i] carries chi_i^d, so an odd twist changes the class
+    spec = pn_full(1)
+    line, point = KObject((0, 1), 0, TRIV2), KObject((0,), 1, TRIV2)
+    assert point.twist == 1
+    assert gram(spec, [line, point])[0][1] == 0 == lefschetz.pairing(spec.characters, spec.rank, line, point)
+    assert gram(spec, [line, KObject((0,), 0, TRIV2)])[0][1] == 1
+    rng = random.Random(23)
+    for spec in [pn_full(1), pn_full(2), p2_example()]:
+        others = _objects_with_twists(rng, spec, 6, range(-3, 4))
+        for i, d in itertools.product(range(spec.num_coords), range(-5, 6)):
+            twin = KObject((i,), 0, spec.characters[i] if d % 2 else TRIV2)
+            objects = [KObject((i,), d, TRIV2), twin, *others]
+            matrix = trace_matrix(spec, objects)
+            assert gram(spec, objects) == matrix
+            assert matrix[0] == matrix[1] and [row[0] for row in matrix] == [row[1] for row in matrix]
 
 
 def test_canonical_generators_p2():
