@@ -109,7 +109,7 @@ def _column(values, newline: str):
     if types <= {type(None), bool}:
         return map(_LITERALS.__getitem__, values)
     inner = newline + "  "
-    if types <= {list, tuple}:  # a row at a time, as the writer asks
+    if types <= {list, tuple}:  # lazy: the writer takes the rows one at a time
         separator = "," + inner
         return (
             f"[{inner}{separator.join(_column(v, inner))}{newline}]" if v else "[]" for v in values
