@@ -138,7 +138,8 @@ def test_gram_p2(capsys):
     assert len(doc["matrix"]) == 12
 
 
-def test_mutate_command(tmp_path, capsys):
+def p2_mutate_files(tmp_path, script) -> tuple[str, str]:
+    """The identity sequence on p2-example's Gram and ``script``, as files."""
     spec = p2_example()
     report = assemble(spec)
     result = gram_report(spec, report)
@@ -146,16 +147,20 @@ def test_mutate_command(tmp_path, capsys):
     seq_path = tmp_path / "sequence.json"
     seq_path.write_text(json.dumps(seq.to_dict()))
     script_path = tmp_path / "script.json"
-    script_path.write_text(
-        json.dumps(
-            [
-                {"block": 4, "direction": "left"},
-                {"block": 3, "direction": "left"},
-                {"block": 5, "direction": "left"},
-            ]
-        )
+    script_path.write_text(json.dumps(script))
+    return str(seq_path), str(script_path)
+
+
+def test_mutate_command(tmp_path, capsys):
+    seq_path, script_path = p2_mutate_files(
+        tmp_path,
+        [
+            {"block": 4, "direction": "left"},
+            {"block": 3, "direction": "left"},
+            {"block": 5, "direction": "left"},
+        ],
     )
-    code, out = run(capsys, "mutate", str(seq_path), "--script", str(script_path), "--json")
+    code, out = run(capsys, "mutate", seq_path, "--script", script_path, "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["semiorthogonal"] is True
@@ -269,6 +274,102 @@ def test_gram_undetermined_is_an_input_error(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: no canonical generators for coarse type undetermined(2)\n"
+
+
+P0_DOC = {"space": {"kind": "projective", "dim": 0}, "group_rank": 1, "action": [[1]]}
+# P^2 with one coordinate flipped and the global sign: a kernel of order 2,
+# and the two components of unknown smoothness that the flip leaves
+KERNEL_DOC = {"space": {"kind": "projective", "dim": 2}, "group_rank": 2, "action": [[1, 0, 0], [1, 1, 1]]}
+
+HUMAN_OUTPUTS = {
+    ("analyze", "p0"): """\
+pos   element  piece          dim  coarse           rank
+  0         0  pt[0]            0  pt                  1
+  1         1  pt[0]            0  pt                  1
+warning: nontrivial projective kernel of order 2
+""",
+    ("sod", "p0"): """\
+decomposition (2 pieces, total rank 2):
+  pt[0] > pt[0]
+grouping plan (0 moves):
+grouped order:
+  pt[0] > pt[0]
+warning: nontrivial projective kernel of order 2
+""",
+    ("gram", "p0"): """\
+blocks: [1, 1]
+character twists: [[0], [1]]
+  1 0
+  0 1
+unipotent upper triangular: True
+""",
+    ("sod", "kernel"): """\
+decomposition (6 pieces, total rank 12):
+  P2[0,1,2] > P2[0,1,2] > P1[1,2] > P1[1,2] > pt[0] > pt[0]
+grouping plan (1 moves):
+  move block 4 left (unknown)
+grouped order:
+  P2[0,1,2] > P2[0,1,2] > P1[1,2] > pt[0] > P1[1,2] > pt[0]
+warning: nontrivial projective kernel of order 2
+warning: unknown smoothness at positions [0, 1]
+""",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(HUMAN_OUTPUTS))
+def test_human_output_pinned(tmp_path, capsys, command, name):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"p0": P0_DOC, "kernel": KERNEL_DOC}[name]))
+    assert run(capsys, command, str(path)) == (0, HUMAN_OUTPUTS[command, name])
+
+
+def test_mutate_human_output(tmp_path, capsys):
+    seq_path, script_path = p2_mutate_files(
+        tmp_path,
+        [
+            {"block": 5, "direction": "left"},
+            {"block": 4, "direction": "left"},
+            {"block": 1, "direction": "right"},
+        ],
+    )
+    assert run(capsys, "mutate", seq_path, "--script", script_path) == (
+        0,
+        """\
+applied 3 moves; semiorthogonal=True unimodular=True
+  block 5 left (orthogonal)
+  block 4 left (mutating)
+  block 1 right (orthogonal)
+blocks: [3, 2, 2, 1, 2, 1, 1]
+""",
+    )
+
+
+P2_BURNSIDE = "burnside-total(projective, dim=2, k=2)"
+
+
+@pytest.mark.parametrize(
+    "double_sum, expected, actual, context",
+    [
+        (52, 13, 12, {"double_sum": 52}),  # divisible by |G| = 4, but not 4 * 12
+        (49, "double sum divisible by |G|", "49 mod 4 = 1", {}),
+    ],
+)
+def test_failed_check_exits_1(monkeypatch, capsys, double_sum, expected, actual, context):
+    # p2-example's double sum is 48 = |G| * 12; an off value fails burnside-total
+    monkeypatch.setattr(verify, "burnside_double_sum", lambda spec: double_sum)
+    assert run(capsys, "verify", "--preset", "p2-example") == (
+        1,
+        f"PASS    projective-rank(n=2, k=2)\nFAIL    {P2_BURNSIDE} expected={expected!r} actual={actual!r}\n",
+    )
+    code, out = run(capsys, "verify", "--preset", "p2-example", "--json")
+    assert code == 1
+    assert json.loads(out)[1] == {
+        "actual": actual,
+        "context": context,
+        "expected": expected,
+        "name": P2_BURNSIDE,
+        "status": "fail",
+    }
 
 
 def run_err(capsys, *argv):
@@ -512,6 +613,11 @@ def reference_dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def dump(doc) -> str:
+    """The text that ``cli._emit_json`` writes for ``doc``, without its newline."""
+    return "".join(cli._write(doc, "\n"))
+
+
 LADDER = {
     **PRESETS,
     "pn-full-5": ["--preset", "pn-full", "--n", "5"],
@@ -526,7 +632,7 @@ LADDER = {
 def test_dump_matches_json_dumps_on_every_command(monkeypatch, capsys, tmp_path):
     # every command writes its --json document through cli._emit_json
     documents = []
-    writer, emit_json = cli._dump, cli._emit_json
+    emit_json = cli._emit_json
 
     def recording_emit_json(doc, out_path):
         documents.append(doc)
@@ -544,7 +650,7 @@ def test_dump_matches_json_dumps_on_every_command(monkeypatch, capsys, tmp_path)
         golden_outputs(capsys, tmp_path, name)
     assert len(documents) == 3 * len(LADDER) + 5 + 1 + 3 * len(PRESETS)
     for doc in documents:
-        assert writer(doc) == reference_dump(doc)
+        assert dump(doc) == reference_dump(doc)
 
 
 # non-ASCII, astral, control characters, quotes and backslashes
@@ -628,10 +734,10 @@ def test_dump_matches_json_dumps_on_random_trees():
     rng = random.Random(83)
     for _ in range(400):
         doc = random_tree(rng, rng.randint(0, 5))
-        assert cli._dump(doc) == reference_dump(doc)
+        assert dump(doc) == reference_dump(doc)
     for _ in range(300):  # record lists at the top, with deeper columns
         doc = random_records(rng, rng.randint(0, 3), rng.randint(0, 6))
-        assert cli._dump(doc) == reference_dump(doc)
+        assert dump(doc) == reference_dump(doc)
     fixed = [
         {"a": {}, "b": [], "c": [{}, [[]], ({},)]},
         {10: "ten", 2: "two", -1: [True, 1, False, 0]},
@@ -647,12 +753,12 @@ def test_dump_matches_json_dumps_on_random_trees():
         {Sign.PLUS: "key", 0: Sign.MINUS, -2: [True, Sign.BIG]},
     ]
     for doc in fixed:
-        assert cli._dump(doc) == reference_dump(doc)
+        assert dump(doc) == reference_dump(doc)
     # mixed str and int keys fail as json.dumps does
     with pytest.raises(TypeError):
-        cli._dump({"a": 1, 2: 3})
+        dump({"a": 1, 2: 3})
     with pytest.raises(TypeError):
-        cli._dump({(1, 2): 3})
+        dump({(1, 2): 3})
 
 
 class Count(int):
@@ -679,7 +785,7 @@ def test_dump_int_lists_match_json_dumps():
         {"matrix": ((1, 2), (0, 1)), "mixed": [(0,), [1, 2], ()]},
     ]
     for doc in docs:
-        assert cli._dump(doc) == reference_dump(doc), doc
+        assert dump(doc) == reference_dump(doc), doc
 
 
 class Label(str):
@@ -731,12 +837,12 @@ def test_dump_record_lists_match_json_dumps():
         {"components": [ROW] * 4, "flags": {"kernel": [[0, 0]], "effective": True}},
     ]
     for doc in docs:
-        assert cli._dump(doc) == reference_dump(doc), doc
+        assert dump(doc) == reference_dump(doc), doc
     # keys that do not sort fail as json.dumps does
     with pytest.raises(TypeError):
-        cli._dump([{"a": 1, 2: 3}, {"a": 1, 2: 3}])
+        dump([{"a": 1, 2: 3}, {"a": 1, 2: 3}])
     with pytest.raises(TypeError):
-        cli._dump([{(1, 2): 3}, {(1, 2): 4}])
+        dump([{(1, 2): 3}, {(1, 2): 4}])
 
 
 def test_dump_matches_json_dumps_property():
@@ -761,7 +867,7 @@ def test_dump_matches_json_dumps_property():
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
     @hypothesis.given(trees)
     def check(doc):
-        assert cli._dump(doc) == reference_dump(doc)
+        assert dump(doc) == reference_dump(doc)
 
     check()
 

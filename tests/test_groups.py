@@ -12,9 +12,9 @@ from mu2sod.groups import (
     is_effective,
     make_spec,
     parse_spec,
-    projective_kernel,
 )
 from mu2sod.presets import p2_example
+from mu2sod.sod import assemble
 
 P2_DOC = json.dumps(
     {
@@ -27,6 +27,25 @@ P2_DOC = json.dumps(
 
 def pairing(chi: int, g: int) -> int:
     return -1 if dot(chi, g) else 1
+
+
+def projective_kernel(spec):
+    """Reference for the kernel that ``sod.assemble`` reads off the
+    components: the elements acting trivially, element by element.
+
+    Affine: all coordinate characters evaluate to +1.  Projective and
+    quadric: all coordinate characters agree (the element acts by a
+    global scalar, which is trivial in PGL).
+    """
+    kernel = []
+    for g in spec.group:
+        signs = [dot(chi, g) for chi in spec.characters]
+        if spec.kind == "affine":
+            if not any(signs):
+                kernel.append(g)
+        elif len(set(signs)) <= 1:
+            kernel.append(g)
+    return kernel
 
 
 def test_pairing_examples():
@@ -128,18 +147,21 @@ def test_projective_kernel_p2_example():
         if len(signs) == 1:
             expected.append(g)
     assert projective_kernel(spec) == expected == [0]
+    assert assemble(spec).kernel == (0,)
     assert is_effective(spec)
 
 
 def test_projective_kernel_global_scalar():
     spec = make_spec("projective", 1, [[1, 1]])
     assert projective_kernel(spec) == [0, 1]
+    assert assemble(spec).kernel == (0, 1)
     assert not is_effective(spec)
 
 
 def test_affine_kernel():
     spec = make_spec("affine", 2, [[1, 0]])
     assert projective_kernel(spec) == [0]
+    assert assemble(spec).kernel == (0,)
     assert is_effective(spec)
 
 
@@ -149,7 +171,7 @@ def test_kernel_is_a_subgroup():
         n = rng.randint(1, 4)
         k = rng.randint(0, 4)
         rows = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(k)]
-        kernel = projective_kernel(make_spec("projective", n, rows))
+        kernel = assemble(make_spec("projective", n, rows)).kernel
         members = set(kernel)
         assert 0 in members
         for g, h in itertools.product(kernel, repeat=2):
@@ -157,21 +179,43 @@ def test_kernel_is_a_subgroup():
 
 
 def test_is_effective_matches_kernel_on_all_kinds():
-    # the closed form (characters span all k dimensions) against the
-    # element-by-element kernel, including ranks above the coordinate count
+    # the closed form (characters span all k dimensions) and the kernel
+    # that assemble reads off the components, against the element-by-element
+    # kernel, including ranks above the coordinate count and dimension 0
     rng = random.Random(11)
     offsets = {"affine": 0, "projective": 1, "fermat_quadric": 2}
     seen = set()
     for _ in range(400):
         kind = rng.choice(sorted(offsets))
-        dim = rng.randint(1 if kind != "affine" else 0, 4)
+        dim = rng.randint(0, 4)
         c = dim + offsets[kind]
         k = rng.randint(0, c if kind == "affine" else c + 1)
         spec = make_spec(kind, dim, [[rng.randint(0, 1) for _ in range(c)] for _ in range(k)])
-        effective = projective_kernel(spec) == [0]
-        assert is_effective(spec) == effective, spec.to_dict()
-        seen.add((kind, effective))
-    assert len(seen) == 6
+        report, kernel = assemble(spec), tuple(projective_kernel(spec))
+        assert report.kernel == kernel, spec.to_dict()
+        effective = kernel == (0,)
+        assert report.effective == is_effective(spec) == effective, spec.to_dict()
+        seen.add((kind, dim == 0, effective))
+    assert len(seen) == 11  # all but a non-effective action on A^0, where k = 0
+
+
+# degenerate specs and their kernels: on A^0 and P^0 every element fixes
+# the whole space; on the quadric x0^2 + x1^2 = 0 with equal characters the
+# point pair splits, and each element must be listed once
+DEGENERATE_KERNELS = {
+    "affine-dim-0": (make_spec("affine", 0, []), (0,)),
+    "p0-k1": (make_spec("projective", 0, [[1]]), (0, 1)),
+    "quadric-dim-0-equal-characters": (make_spec("fermat_quadric", 0, [[1, 1], [0, 0]]), (0, 1, 2, 3)),
+    "affine-zero-row": (make_spec("affine", 2, [[1, 0], [0, 0]]), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_KERNELS))
+def test_assemble_kernel_degenerate(name):
+    spec, kernel = DEGENERATE_KERNELS[name]
+    report = assemble(spec)
+    assert report.kernel == kernel == tuple(projective_kernel(spec))
+    assert report.effective == (kernel == (0,)) == is_effective(spec)
 
 
 def test_elements_order():

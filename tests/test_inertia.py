@@ -1,10 +1,11 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from mu2sod.groups import dot, f2_rank, make_spec
-from mu2sod.inertia import _rank_and_flips, classify_piece, components, twist_step
+from mu2sod.inertia import classify_piece, components, twist_step
 from mu2sod.sod import _smoothness
 from mu2sod.loci import AFFINE, LocusPiece, fixed_pieces
 from mu2sod.presets import etale, p2_example, pn_full, quadric
@@ -192,6 +193,26 @@ def drop_one_flips(chars):
     return r, sum(f2_rank(chars[:j] + chars[j + 1 :]) < r for j in range(len(chars)))
 
 
+def rank_and_flips(chars: list[int]) -> tuple[int, int]:
+    """F_2 rank of ``chars`` and the number of its flips, in one XOR-basis
+    pass that tracks which coordinates each reduction combined: a
+    coordinate whose character reduces to 0 closes a linear relation,
+    and a coordinate is a flip iff it occurs in none of them."""
+    basis: list[tuple[int, int]] = []  # (vector, the coordinates it sums)
+    related = 0
+    for j, v in enumerate(chars):
+        combined = 1 << j
+        for b, summed in basis:
+            if v ^ b < v:  # clears b's leading bit, which no later b sets
+                v ^= b
+                combined ^= summed
+        if v:
+            basis.append((v, combined))
+        else:
+            related |= combined
+    return len(basis), len(chars) - related.bit_count()
+
+
 def test_rank_and_flips_match_drop_one_rule():
     rng = random.Random(71)
     cases = [[], [0], [0, 0], [1, 1], [1, 2, 3], [1, 2, 4, 7]]
@@ -201,7 +222,7 @@ def test_rank_and_flips_match_drop_one_rule():
     outcomes = Counter()
     for chars in cases:
         expected = drop_one_flips(chars)
-        assert _rank_and_flips(chars) == expected, chars
+        assert rank_and_flips(chars) == expected, chars
         outcomes[0 < expected[1] < len(chars), expected[0] == expected[1]] += 1
     # some flips next to relations, and both verdicts of the test
     assert outcomes[True, True] and outcomes[True, False] and outcomes[False, False]
@@ -221,6 +242,39 @@ def test_affine_pieces_classified_by_drop_one_rule():
             assert classify_piece(spec, comp.piece) == comp.coarse == expected, spec.to_dict()
             verdicts[expected] += 1
     assert verdicts["affine"] and verdicts["undetermined"]
+
+
+def affine_piece_spec(chars: list[int], k: int):
+    """An affine spec of rank k whose first len(chars) coordinates carry
+    ``chars``, padded with trivial coordinates up to k."""
+    c = max(len(chars), k)
+    padded = chars + [0] * (c - len(chars))
+    return make_spec("affine", c, [[chi >> i & 1 for chi in padded] for i in range(k)])
+
+
+def test_affine_closed_form_matches_rank_and_flips():
+    # the reflection test (flips == rank) against its closed form (the
+    # nonzero characters are independent): exhaustively for k <= 3 and
+    # t <= 5, then through classify_piece on a seeded sample up to k = 6
+    verdicts = Counter()
+    for t in range(6):
+        for chars in map(list, itertools.product(range(8), repeat=t)):
+            r, flips = rank_and_flips(chars)
+            closed_form = r == t - chars.count(0)
+            assert closed_form == (flips == r), chars
+            verdicts[closed_form] += 1
+    assert verdicts[True] and verdicts[False]
+    rng = random.Random(79)
+    classified = Counter()
+    for _ in range(2000):
+        k = rng.randint(0, 6)
+        chars = [rng.randrange(1 << k) for _ in range(rng.randint(1, 8))]
+        r, flips = rank_and_flips(chars)
+        piece = LocusPiece(AFFINE, tuple(range(len(chars))))
+        expected = "affine" if flips == r else "undetermined"
+        assert classify_piece(affine_piece_spec(chars, k), piece) == expected, (k, chars)
+        classified[expected] += 1
+    assert classified["affine"] and classified["undetermined"]
 
 
 def test_residual_signs_mod_scalar():
