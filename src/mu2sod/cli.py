@@ -66,7 +66,8 @@ def _emit(text, out_path: str | None) -> None:
 
 
 def _emit_json(doc, out_path: str | None) -> None:
-    """Write ``doc`` as ``_dump`` would, a piece at a time."""
+    """Write exactly the bytes of ``json.dumps(doc, sort_keys=True,
+    indent=2)`` and a newline, a piece at a time."""
     _emit(_write(doc, "\n"), out_path)
 
 
@@ -74,17 +75,6 @@ _ENCODE_STR = json.encoder.encode_basestring_ascii
 _LITERALS = {None: "null", True: "true", False: "false"}
 # the text of the small ints that Gram matrices and sequence rows are made of
 _INT_TEXT = {i: int.__repr__(i) for i in range(-256, 257)}
-
-
-def _dump(doc) -> str:
-    """Exactly the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``.
-
-    A list costs one type test, then a C-level map when its elements share
-    a type.  A list of dicts with one key set of str keys is written a
-    column per key: the key texts are formatted once, each column by the
-    same rule, and one join per record puts the records together.
-    """
-    return "".join(_write(doc, "\n"))
 
 
 def _key(key) -> str:
@@ -97,7 +87,13 @@ def _key(key) -> str:
 
 
 def _column(values, newline: str):
-    """The text of each of ``values``, at the nesting level of ``newline``."""
+    """The text of each of ``values``, at the nesting level of ``newline``.
+
+    A list costs one type test, then a C-level map when its elements share
+    a type.  A list of dicts with one key set of str keys is written a
+    column per key: the key texts are formatted once, each column by the
+    same rule, and one join per record puts the records together.
+    """
     types = {*map(type, values)}
     if types == {int}:
         try:

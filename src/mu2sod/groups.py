@@ -172,26 +172,8 @@ def parse_spec(text: str) -> ActionSpec:
     return make_spec(kind, dim, action)
 
 
-def projective_kernel(spec: ActionSpec) -> list[int]:
-    """Elements acting trivially on the space.
-
-    Affine: all coordinate characters evaluate to +1.  Projective and
-    quadric: all coordinate characters agree (the element acts by a
-    global scalar, which is trivial in PGL).
-    """
-    kernel = []
-    for g in spec.group:
-        signs = [dot(chi, g) for chi in spec.characters]
-        if spec.kind == "affine":
-            if not any(signs):
-                kernel.append(g)
-        elif len(set(signs)) <= 1:
-            kernel.append(g)
-    return kernel
-
-
 def is_effective(spec: ActionSpec) -> bool:
-    """Whether ``projective_kernel`` is trivial, read off the characters.
+    """Whether only the identity acts trivially, read off the characters.
 
     g is in the kernel iff it pairs to 0 with every coordinate character
     (affine) or with every chi_i + chi_0 (projective and quadric, where

@@ -39,12 +39,12 @@ pattern normalized to a plus sign on the first coordinate t_0 is
   some h does unless chi_a = chi_b.  So the pair splits into two
   inertia components exactly when its two characters are equal.
 * Affine reflection test.  A sign group on A^t has an affine-space
-  quotient iff it is generated by single-coordinate flips.  The flip of
-  coordinate j lies in R iff chi_j is not in the span of the other
-  characters, i.e. iff j occurs in no linear relation among the chi_i;
-  those flips span a subgroup of R of dimension their number, so R is
-  reflection-generated iff that number equals rank{chi_i}.  One XOR
-  basis pass finds the rank and a basis of the relations.
+  quotient iff it is generated by reflections, here single-coordinate
+  flips (Chevalley; Shephard-Todd), i.e. iff R = {+-1}^J for some set J
+  of coordinates.  A coordinate with chi_i = 0 is never negated, so J
+  must be the set of coordinates with a nonzero character, and
+  R = {+-1}^J iff those characters are linearly independent: their rank
+  is t minus the number of zero characters.
 """
 
 from __future__ import annotations
@@ -73,26 +73,6 @@ def _rank_mod_scalar(spec: ActionSpec, coords: tuple[int, ...]) -> int:
     return f2_rank(spec.characters[i] ^ chi_0 for i in coords)
 
 
-def _rank_and_flips(chars: list[int]) -> tuple[int, int]:
-    """F_2 rank of ``chars`` and the number of its flips, in one XOR-basis
-    pass that tracks which coordinates each reduction combined: a
-    coordinate whose character reduces to 0 closes a linear relation,
-    and a coordinate is a flip iff it occurs in none of them."""
-    basis: list[tuple[int, int]] = []  # (vector, the coordinates it sums)
-    related = 0
-    for j, v in enumerate(chars):
-        combined = 1 << j
-        for b, summed in basis:
-            if v ^ b < v:  # clears b's leading bit, which no later b sets
-                v ^= b
-                combined ^= summed
-        if v:
-            basis.append((v, combined))
-        else:
-            related |= combined
-    return len(basis), len(chars) - related.bit_count()
-
-
 def classify_piece(spec: ActionSpec, piece: LocusPiece) -> str:
     """Coarse-moduli kind of the quotient of a fixed-locus piece.
 
@@ -106,8 +86,8 @@ def classify_piece(spec: ActionSpec, piece: LocusPiece) -> str:
     if piece.kind == AFFINE:
         if t == 0:
             return "point"
-        r, flips = _rank_and_flips([spec.characters[i] for i in piece.support])
-        return "affine" if flips == r else "undetermined"
+        chars = [spec.characters[i] for i in piece.support]
+        return "affine" if f2_rank(chars) == t - chars.count(0) else "undetermined"
     if piece.kind in (POINT, POINT_PAIR):
         return "point"
     r = _rank_mod_scalar(spec, piece.support)
@@ -163,7 +143,7 @@ def components(spec: ActionSpec) -> list[InertiaComponent]:
     chars = spec.characters
     out = []
     for g in spec.group:
-        for piece in fixed_pieces(spec, (g,)):
+        for piece in fixed_pieces(spec, g):
             if piece.kind == EMPTY:
                 continue
             if piece.kind == POINT_PAIR and chars[piece.support[0]] == chars[piece.support[1]]:

@@ -1,12 +1,11 @@
 """Sector decomposition and fixed loci of diagonal sign actions.
 
-A few group elements split the coordinates into *sectors*: maximal
-groups of coordinates on which each element acts by one sign.  The locus
-fixed by all of the elements (equivalently, by the subgroup they
-generate) is assembled from the sectors:
+One group element splits the coordinates into two *sectors*: the
+coordinates it leaves alone (the + sector) and those it negates (the -
+sector).  The locus fixed by the element is assembled from the sectors:
 
 * affine: the fixed locus is the linear subspace spanned by the
-  coordinates in the all-plus sector;
+  coordinates in the + sector;
 * projective: each sector T contributes the subspace P(V_T) (a reduced
   point when |T| = 1), since all of its coordinates rescale by the same
   sign;
@@ -65,29 +64,21 @@ class LocusPiece:
         return 0  # point, point_pair
 
 
-def fixed_pieces(spec: ActionSpec, elements) -> list[LocusPiece]:
-    """Pieces of the locus fixed by every element of ``elements``.
+def fixed_pieces(spec: ActionSpec, g: int) -> list[LocusPiece]:
+    """Pieces of the locus fixed by the element ``g``.
 
-    The coordinates split into sectors by sign pattern, bit j of a
-    coordinate's pattern being <chi, elements[j]>; sectors come out in
-    ascending pattern order, so an all-plus sector comes first.  Affine:
-    the all-plus sector only.  Projective: a point or a projective space
-    per sector.  Quadric: an empty piece, a point pair or a Fermat quadric
-    per sector, so the pieces partition the coordinates as on P^n
-    (``inertia.components`` skips the empty ones).
+    The coordinates split into the + sector, then the - sector of ``g``;
+    an empty sector is left out.  Affine: the + sector only.  Projective:
+    a point or a projective space per sector.  Quadric: an empty piece, a
+    point pair or a Fermat quadric per sector, so the pieces partition the
+    coordinates as on P^n (``inertia.components`` skips the empty ones).
     """
-    chars = spec.characters
-    sectors: dict[int, list[int]] = {}
-    for i in range(spec.num_coords):
-        pattern = 0
-        for j, g in enumerate(elements):
-            pattern |= dot(chars[i], g) << j
-        sectors.setdefault(pattern, []).append(i)
+    plus = tuple(i for i, chi in enumerate(spec.characters) if not dot(chi, g))
     if spec.kind == "affine":
-        return [LocusPiece(AFFINE, tuple(sectors.get(0, ())))]
+        return [LocusPiece(AFFINE, plus)]
+    minus = tuple(i for i, chi in enumerate(spec.characters) if dot(chi, g))
     pieces = []
-    for pattern in sorted(sectors):
-        coords = tuple(sectors[pattern])
+    for coords in filter(None, (plus, minus)):
         n = len(coords)
         if spec.kind == "projective":
             kind = POINT if n == 1 else PROJ

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 
 from . import mutations
-from .groups import ActionSpec, bit_list, projective_kernel
+from .groups import ActionSpec, bit_list
 from .inertia import InertiaComponent, components
 
 
@@ -44,20 +44,24 @@ def _smoothness(comp: InertiaComponent) -> str:
 
 
 def assemble(spec: ActionSpec) -> SodReport:
+    comps = components(spec)
+    # g acts trivially iff it fixes the whole space, i.e. one of its pieces
+    # is supported on every coordinate (never an empty piece: a quadric has
+    # at least 2 coordinates); both halves of a split pair are such pieces
+    kernel = tuple(dict.fromkeys(c.element for c in comps if len(c.piece.support) == spec.num_coords))
     # stable: components() lists ties by element, + sector before - sector,
     # then split index, which is the rest of the documented tie-break
-    comps = sorted(components(spec), key=lambda c: (-c.piece.dim, c.element.bit_count()))
+    comps.sort(key=lambda c: (-c.piece.dim, c.element.bit_count()))
     grouping: dict[int, list[int]] = {}
     for pos, comp in enumerate(comps):
         grouping.setdefault(comp.element, []).append(pos)
-    kernel = projective_kernel(spec)
     return SodReport(
         spec=spec,
         components=tuple(comps),
         total_rank=sum(c.rank for c in comps),
         grouping=tuple((g, tuple(ps)) for g, ps in grouping.items()),
-        effective=kernel == [0],
-        kernel=tuple(kernel),
+        effective=kernel == (0,),
+        kernel=kernel,
         smoothness_warnings=tuple(
             pos for pos, c in enumerate(comps) if _smoothness(c) == "unknown"
         ),

@@ -7,17 +7,18 @@ import pytest
 from mu2sod.groups import dot, f2_rank, make_spec
 from mu2sod.inertia import classify_piece, components, twist_step
 from mu2sod.sod import _smoothness
-from mu2sod.loci import AFFINE, LocusPiece, fixed_pieces
+from mu2sod.loci import AFFINE, LocusPiece
 from mu2sod.presets import etale, p2_example, pn_full, quadric
-from test_oracle_sweep import chi_c_total, random_spec
+from test_oracle_sweep import chi_c_total, oracle_pieces, random_spec
 
 
 def burnside_by_pairs(spec, comp):
     """(1/|G|) sum_h chi_c(piece intersect X^h), read off the split of the
     whole space by (g, h): the pieces inside the component's support."""
-    inside = set(comp.piece.support)
+    doc, inside = spec.to_dict(), set(comp.piece.support)
+    whole = range(spec.num_coords)
     total = sum(
-        chi_c_total([p for p in fixed_pieces(spec, (comp.element, h)) if inside >= set(p.support)])
+        chi_c_total([p for p in oracle_pieces(doc, (comp.element, h), whole) if inside >= set(p.support)])
         for h in spec.group
     )
     assert total % len(spec.group) == 0

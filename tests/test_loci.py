@@ -5,7 +5,7 @@ import pytest
 from mu2sod.groups import make_spec
 from mu2sod.loci import LocusPiece, fixed_pieces
 from mu2sod.presets import etale, p2_example, quadric
-from test_oracle_sweep import chi_c_total, oracle_chi
+from test_oracle_sweep import chi_c_total, oracle_chi, oracle_pieces
 
 
 def random_spec(rng):
@@ -19,45 +19,56 @@ def random_spec(rng):
     return make_spec(kind, dim, rows)
 
 
+def inside_each_split(spec, pieces):
+    """Whether every piece lies inside one piece of each element's split."""
+    return all(
+        any(set(p.support) <= set(q.support) for q in fixed_pieces(spec, g))
+        for g in spec.group
+        for p in pieces
+    )
+
+
 def test_sectors_single_generator():
     # the identity adds a constant 0 bit to every pattern, so the split by
     # (identity, g) is the split by g: + sector first
     spec = p2_example()
-    pieces = fixed_pieces(spec, (0b00, 0b01))
+    pieces = fixed_pieces(spec, 0b01)
     assert [p.support for p in pieces] == [(1, 2), (0,)]
+    assert oracle_pieces(spec.to_dict(), (0b00, 0b01), range(3)) == pieces
 
 
 def test_sectors_trivial_subgroup():
     spec = p2_example()
-    assert [p.support for p in fixed_pieces(spec, ())] == [(0, 1, 2)]
-    assert [p.support for p in fixed_pieces(spec, (0b00,))] == [(0, 1, 2)]
+    assert [p.support for p in fixed_pieces(spec, 0b00)] == [(0, 1, 2)]
+    assert oracle_pieces(spec.to_dict(), (), range(3)) == fixed_pieces(spec, 0b00)
 
 
 def test_sectors_full_group():
     spec = p2_example()
-    pieces = fixed_pieces(spec, tuple(spec.group))
+    pieces = oracle_pieces(spec.to_dict(), tuple(spec.group), range(3))
     # patterns over the whole group are pairwise distinct on p2-example;
     # ascending order: coordinate 2 (all plus), then 0 (bit 1), then 1
     assert [p.support for p in pieces] == [(2,), (0,), (1,)]
-    assert fixed_pieces(spec, (0b01, 0b10)) == pieces
+    assert oracle_pieces(spec.to_dict(), (0b01, 0b10), range(3)) == pieces
+    assert inside_each_split(spec, pieces)
 
 
 def test_fixed_pieces_p2_single_flip():
     spec = p2_example()
-    pieces = fixed_pieces(spec, (0b01,))
+    pieces = fixed_pieces(spec, 0b01)
     assert pieces == [LocusPiece("projective", (1, 2)), LocusPiece("point", (0,))]
 
 
 def test_fixed_pieces_affine_preset():
     spec = etale(3, 2)
-    (piece,) = fixed_pieces(spec, (0b11,))
+    (piece,) = fixed_pieces(spec, 0b11)
     assert piece == LocusPiece("affine", (2,))
     assert piece.dim == 1
 
 
 def test_fixed_pieces_quadric_weight_two():
     spec = quadric(2)
-    pieces = fixed_pieces(spec, (0b011,))
+    pieces = fixed_pieces(spec, 0b011)
     assert pieces == [
         LocusPiece("point_pair", (2, 3)),
         LocusPiece("point_pair", (0, 1)),
@@ -65,20 +76,22 @@ def test_fixed_pieces_quadric_weight_two():
 
 
 def test_fixed_pieces_subgroup_trivial():
-    assert fixed_pieces(p2_example(), (0,)) == [LocusPiece("projective", (0, 1, 2))]
-    assert fixed_pieces(etale(3, 2), (0,)) == [LocusPiece("affine", (0, 1, 2))]
-    assert fixed_pieces(quadric(2), (0,)) == [LocusPiece("fermat", (0, 1, 2, 3))]
+    assert fixed_pieces(p2_example(), 0) == [LocusPiece("projective", (0, 1, 2))]
+    assert fixed_pieces(etale(3, 2), 0) == [LocusPiece("affine", (0, 1, 2))]
+    assert fixed_pieces(quadric(2), 0) == [LocusPiece("fermat", (0, 1, 2, 3))]
 
 
 def test_fixed_pieces_subgroup_full_group_p2():
-    pieces = fixed_pieces(p2_example(), tuple(p2_example().group))
+    spec = p2_example()
+    pieces = oracle_pieces(spec.to_dict(), tuple(spec.group), range(3))
     assert sorted(p.support for p in pieces) == [(0,), (1,), (2,)]
     assert all(p.kind == "point" for p in pieces)
+    assert inside_each_split(spec, pieces)
 
 
 def test_fixed_pieces_subgroup_full_group_quadric():
     spec = quadric(2)
-    pieces = fixed_pieces(spec, tuple(spec.group))
+    pieces = oracle_pieces(spec.to_dict(), tuple(spec.group), range(4))
     assert len(pieces) == 4
     assert all(p.kind == "empty" and len(p.support) == 1 for p in pieces)
     assert chi_c_total(pieces) == 0
@@ -109,14 +122,12 @@ def test_sector_partition_property():
     rng = random.Random(11)
     for _ in range(60):
         spec = random_spec(rng)
-        size = rng.randint(0, 2)
-        gens = tuple(rng.randrange(1 << spec.rank) for _ in range(size))
-        seen = [i for p in fixed_pieces(spec, gens) for i in p.support]
+        g = rng.randrange(1 << spec.rank)
+        seen = [i for p in fixed_pieces(spec, g) for i in p.support]
         if spec.kind == "affine":
             # only the all-plus sector survives
             assert seen == [
-                i for i, chi in enumerate(spec.characters)
-                if all((chi & g).bit_count() % 2 == 0 for g in gens)
+                i for i, chi in enumerate(spec.characters) if (chi & g).bit_count() % 2 == 0
             ]
         else:
             assert sorted(seen) == list(range(spec.num_coords))
@@ -129,7 +140,7 @@ def test_projective_completeness():
         if spec.kind != "projective":
             continue
         for g in spec.group:
-            pieces = fixed_pieces(spec, (g,))
+            pieces = fixed_pieces(spec, g)
             assert sum(len(p.support) for p in pieces) == spec.num_coords
             # chi_c additivity: each class contributes its size
             assert chi_c_total(pieces) == spec.num_coords
@@ -140,8 +151,9 @@ def test_single_element_matches_span_subgroup():
     rng = random.Random(17)
     for _ in range(60):
         spec = random_spec(rng)
+        whole = range(spec.num_coords)
         for g in spec.group:
-            assert fixed_pieces(spec, (g,)) == fixed_pieces(spec, (0, g))
+            assert fixed_pieces(spec, g) == oracle_pieces(spec.to_dict(), (0, g), whole)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -149,29 +161,30 @@ def test_affine_dimension_law(n):
     for k in range(n + 1):
         spec = etale(n, k)
         for g in spec.group:
-            (piece,) = fixed_pieces(spec, (g,))
+            (piece,) = fixed_pieces(spec, g)
             assert piece.dim == n - g.bit_count()
 
 
 def test_refine_piece_is_sector_refinement():
     spec = quadric(2)
     conic = LocusPiece("fermat", (1, 2, 3))  # fixed by g = 0b001
-    assert conic in fixed_pieces(spec, (0b001,))
+    assert conic in fixed_pieces(spec, 0b001)
     # adding h = 0b010 splits the conic's support into {2,3} and {1}
-    refined = [p for p in fixed_pieces(spec, (0b001, 0b010)) if set(p.support) <= {1, 2, 3}]
+    split = oracle_pieces(spec.to_dict(), (0b001, 0b010), range(4))
+    refined = [p for p in split if set(p.support) <= {1, 2, 3}]
     assert refined == [LocusPiece("point_pair", (2, 3)), LocusPiece("empty", (1,))]
     assert chi_c_total(refined) == 2
     # the identity refines to the piece itself
-    assert conic in fixed_pieces(spec, (0b001, 0))
+    assert conic in oracle_pieces(spec.to_dict(), (0b001, 0), range(4))
 
 
 def test_refine_piece_point_pair():
     spec = quadric(2)
     pair = LocusPiece("point_pair", (0, 1))  # fixed by g = 0b011
-    assert pair in fixed_pieces(spec, (0b011,))
+    assert pair in fixed_pieces(spec, 0b011)
 
     def chi_inside_pair(h):
-        pieces = fixed_pieces(spec, (0b011, h))
+        pieces = oracle_pieces(spec.to_dict(), (0b011, h), range(4))
         return chi_c_total([p for p in pieces if set(p.support) <= {0, 1}])
 
     # elements acting with equal signs keep both points, others swap them

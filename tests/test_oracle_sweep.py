@@ -204,14 +204,8 @@ def test_fixed_pieces_match_definition():
             spec = random_spec(rng, kind)
             doc = spec.to_dict()
             whole = range(spec.num_coords)
-            for _ in range(8):
-                elements = tuple(rng.randrange(1 << spec.rank) for _ in range(rng.randint(0, 3)))
-                assert fixed_pieces(spec, elements) == oracle_pieces(doc, elements, whole), (
-                    doc,
-                    elements,
-                )
             for g in spec.group:
-                assert fixed_pieces(spec, (g,)) == oracle_pieces(doc, (g,), whole)
+                assert fixed_pieces(spec, g) == oracle_pieces(doc, (g,), whole), (doc, g)
 
 
 def test_total_rank_matches_burnside_double_sum():
