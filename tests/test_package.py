@@ -80,3 +80,23 @@ def test_readme_library_example_runs():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert "from mu2sod import" in code
     run_fresh("-c", code)
+
+
+# runs a statement, then prints the mu2sod submodules it loaded
+LOADS = """
+import json, sys
+{}
+print(json.dumps(sorted(n.split(".", 1)[1] for n in sys.modules if n.startswith("mu2sod."))))
+"""
+ALL_NINE = ["cli", "euler", "groups", "inertia", "loci", "mutations", "presets", "sod", "verify"]
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import mu2sod; assert 'assemble' in dir(mu2sod)", []),
+    ("from mu2sod.presets import pn_full", ["groups", "presets"]),
+    ("from mu2sod import mutations", ["mutations"]),
+    # the benchmark clears the caches of the modules loaded with cli
+    ("import mu2sod.cli", ALL_NINE),
+])
+def test_import_loads_only_what_it_names(statement, loaded):
+    assert json.loads(run_fresh("-c", LOADS.format(statement))) == loaded
