@@ -53,6 +53,11 @@ class EulerError(ValueError):
     """Raised for pairings the engine does not define (e.g. affine ambient)."""
 
 
+# The Gram's tuple rows alone take 8 N^2 bytes, 2.1 GB at this size, so a
+# larger canonical collection (pn-full n >= 11) is refused before any profile.
+MAX_GRAM = 16_384
+
+
 @dataclass(frozen=True)
 class KObject:
     """Class of the pushforward of O_{P(V_T)}(twist) tensor char."""
@@ -302,6 +307,8 @@ def gram_report(spec: ActionSpec, report: SodReport) -> GramResult:
     """Canonical-generator Gram of a report, auto-normalizing characters
     if the default trivial choice is not triangular."""
     objects, sizes = canonical_generators(spec, report)
+    if len(objects) > MAX_GRAM:
+        raise EulerError(f"Gram size {len(objects)} exceeds the limit of {MAX_GRAM}")
     matrix = gram(spec, objects)
     triangular = is_unipotent_upper(matrix)
     twists = None if triangular else character_normalization(spec, objects, sizes)

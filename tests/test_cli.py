@@ -9,10 +9,11 @@ import subprocess
 import sys
 from collections import OrderedDict
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
-from mu2sod import cli, groups, verify
+from mu2sod import cli, euler, groups, verify
 from mu2sod.cli import main
 from mu2sod.euler import gram_report
 from mu2sod.mutations import identity_sequence
@@ -578,6 +579,29 @@ def test_group_rank_limit(monkeypatch, tmp_path, capsys):
     path.write_text(json.dumps(P2_DOC))
     assert main(["analyze", str(path)]) == 0
     assert main(["sod", "--preset", "pn-full", "--n", "2"]) == 0
+
+
+def test_gram_size_limit(monkeypatch, capsys):
+    # pn-full n = 4 has N = 80 canonical generators, n = 5 has N = 192
+    monkeypatch.setattr(euler, "MAX_GRAM", 80)
+    code, out = run(capsys, "gram", "--json", "--preset", "pn-full", "--n", "4")
+    assert code == 0 and len(json.loads(out)["matrix"]) == 80
+    argv = ["gram", "--json", "--preset", "pn-full", "--n", "5"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: Gram size 192 exceeds the limit of 80\n")
+    # sod plans without a refused Gram: every flag is undecided
+    code, out = run(capsys, "sod", "--json", "--preset", "pn-full", "--n", "5")
+    moves = json.loads(out)["msodc"]["moves"]
+    assert code == 0 and len(moves) == 720
+    assert {m["orthogonal"] for m in moves} == {None}
+
+
+def test_gram_size_limit_refuses_before_any_profile(capsys):
+    # N = 53,248 passes the dim and rank limits; its Gram would not fit in memory
+    start = perf_counter()
+    assert main(["gram", "--json", "--preset", "pn-full", "--n", "12"]) == 2
+    assert perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error: Gram size 53248 exceeds the limit of {euler.MAX_GRAM}\n")
 
 
 def test_space_dim_limit(tmp_path, capsys):
