@@ -32,6 +32,8 @@ SPACE_KINDS = ("affine", "projective", "fermat_quadric")
 MAX_GROUP_RANK = 12
 # The Gram of a projective spec walks the 2^c subsets of its c coordinates,
 # so its cost doubles with every dimension; larger spaces are refused too.
+# Within both limits a Gram can still outgrow memory (53,248 rows at pn-full
+# n = 12), so euler.MAX_GRAM bounds its size on its own.
 MAX_DIM = 16
 
 
