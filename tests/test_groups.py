@@ -236,3 +236,38 @@ def test_f2_rank_against_span_size():
         assert 1 << f2_rank(values) == len(span), values
     assert f2_rank([]) == f2_rank([0, 0]) == 0
     assert f2_rank([0b011, 0b101, 0b110]) == 2
+
+
+def reference_f2_rank(values):
+    """The XOR basis that ``f2_rank`` replaced: each basis vector clears its
+    leading bit from the next value by taking the smaller of v and v ^ b."""
+    basis = []
+    for v in values:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+def test_f2_rank_matches_reference():
+    rng = random.Random(37)
+    for width in (1, 3, 8, 13):
+        for _ in range(200):
+            values = [rng.randrange(1 << width) for _ in range(rng.randint(0, 10))]
+            if values and rng.random() < 0.3:  # repeated and dependent values
+                values += [values[0], values[0] ^ values[-1]]
+            assert f2_rank(values) == reference_f2_rank(values), values
+    # generators are consumed once
+    assert f2_rank(v for v in (1, 2, 3, 4)) == 3
+
+
+def test_action_entries_exact_zero_one_ints():
+    class Bit(int):
+        pass
+
+    spec = make_spec("projective", 1, [[Bit(1), Bit(0)], [0, 1]])
+    assert spec.characters == (1, 2)
+    for row in ([True, 0], [1, 2], [1.0, 0], [0, -1], [None, 0], [[1], 0], ["1", "0"]):
+        with pytest.raises(SpecError, match="must be 0 or 1"):
+            make_spec("projective", 1, [row])

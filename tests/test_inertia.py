@@ -4,10 +4,10 @@ from collections import Counter
 
 import pytest
 
-from mu2sod.groups import dot, f2_rank, make_spec
-from mu2sod.inertia import classify_piece, components, twist_step
+from mu2sod.groups import dot, f2_rank, is_effective, make_spec
+from mu2sod.inertia import InertiaComponent, _piece_rank, classify_piece, components, twist_step
 from mu2sod.sod import _smoothness
-from mu2sod.loci import AFFINE, LocusPiece
+from mu2sod.loci import AFFINE, LocusPiece, fixed_pieces
 from mu2sod.presets import etale, p2_example, pn_full, quadric
 from test_oracle_sweep import chi_c_total, oracle_pieces, random_spec
 
@@ -333,3 +333,50 @@ def test_split_components_come_in_pairs():
     split = [c for c in comps if c.split_index is not None]
     keyed = Counter((c.element, c.piece.support) for c in split)
     assert all(count == 2 for count in keyed.values())
+
+
+def reference_components(spec):
+    """The element-by-element listing that ``components`` replaced: every
+    element's pieces from ``fixed_pieces`` (signs by ``dot``), each one
+    classified again, a point pair with equal characters split in two."""
+    chars = spec.characters
+    out = []
+    for g in spec.group:
+        for piece in fixed_pieces(spec, g):
+            if piece.kind == "empty":
+                continue
+            pair = piece.kind == "point_pair"
+            halves = (1, 2) if pair and chars[piece.support[0]] == chars[piece.support[1]] else (None,)
+            rank, coarse = _piece_rank(spec, piece), classify_piece(spec, piece)
+            out += [InertiaComponent(g, piece, half, rank, coarse) for half in halves]
+    return out
+
+
+def assert_components_match_reference(spec):
+    comps, expected = components(spec), reference_components(spec)
+    assert comps == expected, spec.to_dict()
+    # a piece's dimension is not part of its equality
+    assert [c.piece.dim for c in comps] == [c.piece.dim for c in expected]
+
+
+def test_components_match_reference_random():
+    rng = random.Random(20261020)
+    seen = Counter()
+    for kind in ("affine", "projective", "fermat_quadric"):
+        for k in range(8):
+            for _ in range(3):
+                spec = random_spec(rng, kind, k, max_dim=8)
+                assert_components_match_reference(spec)
+                masks = {tuple(dot(chi, g) for chi in spec.characters) for g in spec.group}
+                seen[kind, is_effective(spec), len(masks) < len(spec.group)] += 1
+    # every kind reaches effective and non-effective actions, and actions
+    # whose elements share a sign mask
+    assert {(kind, effective) for kind, effective, _ in seen} == {
+        (kind, effective) for kind in ("affine", "projective", "fermat_quadric") for effective in (True, False)
+    }
+    assert {kind for kind, _, repeated in seen if repeated} == {"affine", "projective", "fermat_quadric"}
+
+
+@pytest.mark.parametrize("spec", [etale(12, 12), pn_full(12)], ids=["etale-12-12", "pn-full-12"])
+def test_components_match_reference_at_the_rank_limit(spec):
+    assert_components_match_reference(spec)

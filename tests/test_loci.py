@@ -109,6 +109,19 @@ def test_chi_c_table():
     assert LocusPiece("empty", ()).dim == -1
 
 
+def test_piece_dim_and_identity():
+    # the dimension by kind; it takes no part in equality, hashing or repr
+    dims = {"affine": 3, "projective": 2, "fermat": 1, "point_pair": 0, "empty": -1}
+    for kind, dim in dims.items():
+        support = {"point_pair": (2, 0), "empty": (1,)}.get(kind, (2, 0, 1))
+        piece = LocusPiece(kind, support)
+        assert piece.dim == dim
+        assert piece == LocusPiece(kind, tuple(sorted(support)))
+        assert hash(piece) == hash((kind, tuple(sorted(support))))
+        assert repr(piece) == f"LocusPiece(kind={kind!r}, support={tuple(sorted(support))!r})"
+    assert LocusPiece("point", (4,)).dim == 0
+
+
 def test_piece_validation():
     with pytest.raises(ValueError):
         LocusPiece("projective", (0,))

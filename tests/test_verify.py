@@ -187,6 +187,52 @@ def test_random_rank_sweep_small():
     assert check_random_rank_sweep(count=25, seed=5).status == PASS
 
 
+def reference_random_rank_sweep(count=200, seed=20240913):
+    """The sweep that ``check_random_rank_sweep`` replaced: every draw is
+    assembled and checked, repeated specs included."""
+    rng = random.Random(seed)
+    failures = []
+    for i in range(count):
+        spec = random_effective_projective_spec(rng)
+        report = verify.assemble(spec)
+        rank = check_projective_rank(spec, report)
+        burnside = check_burnside_total(spec, report)
+        if rank.status != PASS or burnside.status != PASS:
+            failures.append((i, spec.to_dict(), rank.status, burnside.status))
+    return verify.CheckResult(
+        f"random-rank-sweep(count={count})",
+        PASS if not failures else FAIL,
+        expected=[],
+        actual=failures,
+        context={"seed": seed},
+    )
+
+
+@pytest.mark.parametrize("count, seed", [(200, 20240913), (60, 5)])
+def test_random_rank_sweep_matches_reference(count, seed):
+    assert check_random_rank_sweep(count, seed) == reference_random_rank_sweep(count, seed)
+
+
+def test_random_rank_sweep_lists_every_draw_of_a_failing_spec(monkeypatch):
+    # one spec drawn more than once fails: each of its draws is a failure
+    rng = random.Random(20240913)
+    draws = [random_effective_projective_spec(rng) for _ in range(200)]
+    bad = max(draws, key=draws.count)
+    indices = [i for i, spec in enumerate(draws) if spec == bad]
+    assert len(indices) > 1
+    real = verify.assemble
+
+    def assemble_failing(spec):
+        report = real(spec)
+        return dataclasses.replace(report, total_rank=report.total_rank + 1) if spec == bad else report
+
+    monkeypatch.setattr(verify, "assemble", assemble_failing)
+    result = check_random_rank_sweep()
+    assert result.status == FAIL
+    assert [failure[0] for failure in result.actual] == indices
+    assert result == reference_random_rank_sweep()
+
+
 def test_run_battery_all_pass():
     results = run_battery()
     assert results, "battery must not be empty"
