@@ -169,8 +169,7 @@ def cmd_analyze(args) -> int:
     spec = _load_spec(args)
     report = assemble(spec)
     if args.json:
-        doc = report_to_dict(report)
-        _emit_json({"components": doc["components"], "flags": doc["flags"]}, args.out)
+        _emit_json(report_to_dict(report, full=False), args.out)
         return OK
     lines = [f"{'pos':>3}  {'element':>8}  {'piece':<14} {'dim':>3}  {'coarse':<16} {'rank':>4}"]
     for pos, comp in enumerate(report.components):

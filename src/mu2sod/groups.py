@@ -53,13 +53,13 @@ def dot(chi: int, g: int) -> int:
 
 def f2_rank(values) -> int:
     """Rank over F_2 of ints read as bit vectors (an XOR basis)."""
-    basis: list[int] = []
+    pivots: dict[int, int] = {}  # leading bit -> the one basis vector that has it
     for v in values:
-        for b in basis:
-            v = min(v, v ^ b)  # clears b's leading bit, which no later b sets
+        while p := pivots.get(top := v.bit_length()):
+            v ^= p
         if v:
-            basis.append(v)
-    return len(basis)
+            pivots[top] = v
+    return len(pivots)
 
 
 def check_size(dim: int, rank: int) -> None:
@@ -100,6 +100,8 @@ class ActionSpec:
                     f"action row of length {len(row)}, expected {c} for "
                     f"{self.kind} of dimension {self.dim}"
                 )
+            if {*map(type, row)} <= {int} and {*row} <= {0, 1}:
+                continue  # exact 0/1 ints, on two set tests
             if any(not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1) for b in row):
                 raise SpecError("action matrix entries must be 0 or 1")
         if self.kind == "affine" and self.rank > c:
@@ -107,7 +109,7 @@ class ActionSpec:
                 f"rank {self.rank} cannot act effectively on {c} affine coordinates"
             )
 
-    @property
+    @cached_property
     def num_coords(self) -> int:
         if self.kind == "affine":
             return self.dim

@@ -58,7 +58,7 @@ from .loci import AFFINE, EMPTY, FERMAT, POINT, POINT_PAIR, PROJ
 from .loci import LocusPiece, fixed_pieces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InertiaComponent:
     element: int
     piece: LocusPiece  # the coarse space has dimension piece.dim
@@ -70,7 +70,7 @@ class InertiaComponent:
 def _rank_mod_scalar(spec: ActionSpec, coords: tuple[int, ...]) -> int:
     """log2 of the residual sign-group order modulo the global sign."""
     chi_0 = spec.characters[coords[0]]
-    return f2_rank(spec.characters[i] ^ chi_0 for i in coords)
+    return f2_rank([spec.characters[i] ^ chi_0 for i in coords])
 
 
 def classify_piece(spec: ActionSpec, piece: LocusPiece) -> str:
@@ -119,36 +119,43 @@ def _piece_rank(spec: ActionSpec, piece: LocusPiece) -> int:
     if piece.kind in (AFFINE, POINT_PAIR):
         return 1
     if piece.kind == FERMAT:
-        parity = reduce(xor, (spec.characters[i] for i in piece.support), 0)
+        parity = reduce(xor, map(spec.characters.__getitem__, piece.support), 0)
         return t if t % 2 == 0 and parity == 0 else t - 1
     return t  # point or projective
 
 
-def _make_component(
-    spec: ActionSpec, g: int, piece: LocusPiece, split_index: int | None
-) -> InertiaComponent:
-    coarse = classify_piece(spec, piece)
-    rank = _piece_rank(spec, piece)
-    if coarse == "projective" and rank != piece.dim + 1:
-        raise ArithmeticError(
-            f"rank {rank} disagrees with projective coarse type P{piece.dim}"
-        )
-    return InertiaComponent(g, piece, split_index, rank, coarse)
+def _sector_parts(spec: ActionSpec, g: int, mask: int) -> list[tuple]:
+    """(piece, split_index, rank, coarse) of each component over ``g``,
+    whose sign mask is ``mask``."""
+    chars = spec.characters
+    parts = []
+    for piece in fixed_pieces(spec, g, mask):
+        if piece.kind == EMPTY:
+            continue
+        pair = piece.kind == POINT_PAIR
+        halves = (1, 2) if pair and chars[piece.support[0]] == chars[piece.support[1]] else (None,)
+        coarse, rank = classify_piece(spec, piece), _piece_rank(spec, piece)
+        if coarse == "projective" and rank != piece.dim + 1:
+            raise ArithmeticError(f"rank {rank} disagrees with projective coarse type P{piece.dim}")
+        parts += [(piece, half, rank, coarse) for half in halves]
+    return parts
 
 
 def components(spec: ActionSpec) -> list[InertiaComponent]:
     """All inertia components: one per (element, nonempty fixed piece),
     except that a point pair nobody swaps contributes two components.
-    Listed by element, + sector first, then by split index."""
-    chars = spec.characters
+    Listed by element, + sector first, then by split index.  They depend
+    on the element's sign mask alone, and mask(g ^ h) = mask(g) ^ mask(h):
+    the masks come from the generators' rows by XOR, each classified once."""
+    masks = [0]
+    for row in spec.rows:
+        generator = sum(b << i for i, b in enumerate(row))
+        masks += [m ^ generator for m in masks]
+    sectors: dict[int, list[tuple]] = {}
     out = []
-    for g in spec.group:
-        for piece in fixed_pieces(spec, g):
-            if piece.kind == EMPTY:
-                continue
-            if piece.kind == POINT_PAIR and chars[piece.support[0]] == chars[piece.support[1]]:
-                out.append(_make_component(spec, g, piece, 1))
-                out.append(_make_component(spec, g, piece, 2))
-            else:
-                out.append(_make_component(spec, g, piece, None))
+    for g, mask in enumerate(masks):
+        parts = sectors.get(mask)
+        if parts is None:
+            parts = sectors[mask] = _sector_parts(spec, g, mask)
+        out += [InertiaComponent(g, piece, half, rank, coarse) for piece, half, rank, coarse in parts]
     return out

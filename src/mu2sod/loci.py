@@ -20,7 +20,7 @@ tag, supporting coordinate set and dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .groups import ActionSpec, dot
 
@@ -30,14 +30,16 @@ POINT = "point"
 FERMAT = "fermat"
 POINT_PAIR = "point_pair"
 EMPTY = "empty"
+_CODIM = {AFFINE: 0, PROJ: 1, POINT: 1, FERMAT: 2, POINT_PAIR: 2}  # dim = support size - codim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocusPiece:
     """One geometric piece of a fixed locus, supported on a coordinate set."""
 
     kind: str
     support: tuple[int, ...]
+    dim: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", tuple(sorted(self.support)))
@@ -50,21 +52,10 @@ class LocusPiece:
             raise ValueError("Fermat piece needs at least 3 coordinates")
         if self.kind == POINT_PAIR and n != 2:
             raise ValueError("point pair is supported on two coordinates")
-
-    @property
-    def dim(self) -> int:
-        if self.kind == AFFINE:
-            return len(self.support)
-        if self.kind == PROJ:
-            return len(self.support) - 1
-        if self.kind == FERMAT:
-            return len(self.support) - 2
-        if self.kind == EMPTY:
-            return -1
-        return 0  # point, point_pair
+        object.__setattr__(self, "dim", -1 if self.kind == EMPTY else n - _CODIM[self.kind])
 
 
-def fixed_pieces(spec: ActionSpec, g: int) -> list[LocusPiece]:
+def fixed_pieces(spec: ActionSpec, g: int, mask: int | None = None) -> list[LocusPiece]:
     """Pieces of the locus fixed by the element ``g``.
 
     The coordinates split into the + sector, then the - sector of ``g``;
@@ -72,11 +63,14 @@ def fixed_pieces(spec: ActionSpec, g: int) -> list[LocusPiece]:
     a point or a projective space per sector.  Quadric: an empty piece, a
     point pair or a Fermat quadric per sector, so the pieces partition the
     coordinates as on P^n (``inertia.components`` skips the empty ones).
+    ``mask``, if given, is the sign mask of ``g``: bit i set when g negates coordinate i.
     """
-    plus = tuple(i for i, chi in enumerate(spec.characters) if not dot(chi, g))
+    if mask is None:
+        mask = sum(dot(chi, g) << i for i, chi in enumerate(spec.characters))
+    plus = [i for i in range(spec.num_coords) if not mask >> i & 1]
     if spec.kind == "affine":
         return [LocusPiece(AFFINE, plus)]
-    minus = tuple(i for i, chi in enumerate(spec.characters) if dot(chi, g))
+    minus = [i for i in range(spec.num_coords) if mask >> i & 1]
     pieces = []
     for coords in filter(None, (plus, minus)):
         n = len(coords)

@@ -26,6 +26,9 @@ from . import mutations
 from .groups import ActionSpec, bit_list
 from .inertia import InertiaComponent, components
 
+# a larger plan is refused: pn-full n = 11 (3,513,378 moves) took 1.5 GB and 21 s
+MAX_MOVES = 1_000_000
+
 
 @dataclass(frozen=True)
 class SodReport:
@@ -48,7 +51,8 @@ def assemble(spec: ActionSpec) -> SodReport:
     # g acts trivially iff it fixes the whole space, i.e. one of its pieces
     # is supported on every coordinate (never an empty piece: a quadric has
     # at least 2 coordinates); both halves of a split pair are such pieces
-    kernel = tuple(dict.fromkeys(c.element for c in comps if len(c.piece.support) == spec.num_coords))
+    whole = spec.num_coords
+    kernel = tuple(dict.fromkeys(c.element for c in comps if len(c.piece.support) == whole))
     # stable: components() lists ties by element, + sector before - sector,
     # then split index, which is the rest of the documented tie-break
     comps.sort(key=lambda c: (-c.piece.dim, c.element.bit_count()))
@@ -88,12 +92,14 @@ def coarse_label(comp: InertiaComponent) -> str:
     return names.get(comp.coarse, f"undetermined({dim})")
 
 
-def report_to_dict(report: SodReport) -> dict:
-    doc = report.spec.to_dict()
+def report_to_dict(report: SodReport, full: bool = True) -> dict:
+    """The report's ``--json`` document, or only the components and flags."""
     k = report.spec.rank
+    bits = {g: bit_list(g, k) for g, _ in report.grouping}  # every element with a component
+    doc = report.spec.to_dict() if full else {}
     doc["components"] = [
         {
-            "element": bit_list(c.element, k),
+            "element": bits[c.element],
             "support": list(c.piece.support),
             "geometry": c.piece.kind,
             "dim": c.piece.dim,
@@ -105,14 +111,13 @@ def report_to_dict(report: SodReport) -> dict:
         }
         for c in report.components
     ]
-    doc["order"] = list(range(len(report.components)))
-    doc["total_rank"] = report.total_rank
-    doc["grouping"] = [
-        {"element": bit_list(g, k), "positions": list(ps)} for g, ps in report.grouping
-    ]
+    if full:
+        doc["order"] = list(range(len(report.components)))
+        doc["total_rank"] = report.total_rank
+        doc["grouping"] = [{"element": bits[g], "positions": list(ps)} for g, ps in report.grouping]
     doc["flags"] = {
         "effective": report.effective,
-        "kernel": [bit_list(g, k) for g in report.kernel],
+        "kernel": [bits[g] for g in report.kernel],
         "smoothness_warnings": list(report.smoothness_warnings),
     }
     return doc
@@ -168,10 +173,19 @@ def msodc_plan(report: SodReport, gram: Sequence[Sequence[int]] | None = None) -
     A left mutation through an exceptional block is the projection onto
     its left orthogonal, fixed by the original pairings, so the flags
     are read off ``gram`` without replaying the moves.  Without a Gram
-    the flag is None (undecidable).
+    the flag is None (undecidable).  A plan of more than ``MAX_MOVES``
+    moves is refused with ``ValueError`` before any move is built.
     """
     starts = [0, *accumulate(c.rank for c in report.components)]
     bounds = list(map(range, starts, starts[1:]))
+    target = [pos for _, positions in report.grouping for pos in positions]
+    unplaced, passes = list(range(len(bounds))), []
+    for block in target:  # it moves past the unplaced blocks before it, nearest first
+        i = unplaced.index(block)
+        passes.append(unplaced[:i][::-1])
+        del unplaced[i]
+    if (count := sum(map(len, passes))) > MAX_MOVES:
+        raise ValueError(f"regrouping plan of {count} moves exceeds the limit of {MAX_MOVES}")
     if gram is not None:
         n = len(gram)
         if n != starts[-1]:
@@ -183,13 +197,8 @@ def msodc_plan(report: SodReport, gram: Sequence[Sequence[int]] | None = None) -
         for x, row in enumerate(gram):
             for a in compress(range(x + 1, n), row[x + 1 :]):
                 above[a].append((x, row[a]))
-    target = [pos for _, positions in report.grouping for pos in positions]
-    order = list(range(len(bounds)))
     moves: list[mutations.Move] = []
-    for t, block in enumerate(target):
-        p = order.index(block)
-        passed = order[t:p][::-1]
+    for t, (block, passed) in enumerate(zip(target, passes)):
         flags = [None] * len(passed) if gram is None else _passing_flags(above, bounds, block, passed)
-        moves += [mutations.Move(q, "left", f) for q, f in zip(range(p, t, -1), flags)]
-        order.insert(t, order.pop(p))
-    return MutationPlan(moves=tuple(moves), block_order=tuple(order))
+        moves += [mutations.Move(q, "left", f) for q, f in zip(range(t + len(passed), t, -1), flags)]
+    return MutationPlan(moves=tuple(moves), block_order=tuple(target))

@@ -252,16 +252,19 @@ def random_effective_projective_spec(
 
 
 def check_random_rank_sweep(count: int = 200, seed: int = 20240913) -> CheckResult:
-    """Closed-form rank and Burnside double sum agree on random specs."""
+    """Closed-form rank and Burnside double sum agree on random specs, each checked once."""
     rng = random.Random(seed)
-    failures = []
+    draws: dict[ActionSpec, list[int]] = {}
     for i in range(count):
-        spec = random_effective_projective_spec(rng)
+        draws.setdefault(random_effective_projective_spec(rng), []).append(i)
+    failures = []
+    for spec, indices in draws.items():
         report = assemble(spec)
         rank = check_projective_rank(spec, report)
         burnside = check_burnside_total(spec, report)
         if rank.status != PASS or burnside.status != PASS:
-            failures.append((i, spec.to_dict(), rank.status, burnside.status))
+            failures += [(i, spec.to_dict(), rank.status, burnside.status) for i in indices]
+    failures.sort()  # by draw index, which no two failures share
     return CheckResult(
         f"random-rank-sweep(count={count})",
         PASS if not failures else FAIL,

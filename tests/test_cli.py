@@ -13,7 +13,7 @@ from time import perf_counter
 
 import pytest
 
-from mu2sod import cli, euler, groups, verify
+from mu2sod import cli, euler, groups, mutations, sod, verify
 from mu2sod.cli import main
 from mu2sod.euler import gram_report
 from mu2sod.mutations import identity_sequence
@@ -602,6 +602,25 @@ def test_gram_size_limit_refuses_before_any_profile(capsys):
     assert main(["gram", "--json", "--preset", "pn-full", "--n", "12"]) == 2
     assert perf_counter() - start < 1.0
     assert capsys.readouterr() == ("", f"error: Gram size 53248 exceeds the limit of {euler.MAX_GRAM}\n")
+
+
+def test_plan_size_limit(monkeypatch, capsys):
+    # pn-full n = 5 regroups in 720 moves, n = 6 in 3,080
+    monkeypatch.setattr(sod, "MAX_MOVES", 720)
+    code, out = run(capsys, "sod", "--json", "--preset", "pn-full", "--n", "5")
+    assert code == 0 and len(json.loads(out)["msodc"]["moves"]) == 720
+
+    def no_move(*args):
+        raise AssertionError("a move was built for a refused plan")
+
+    monkeypatch.setattr(mutations, "Move", no_move)
+    for preset in ("pn-full", "quadric"):  # with a Gram and without one
+        argv = ["sod", "--json", "--preset", preset, "--n", "6", "--q-dim", "6"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: regrouping plan of ")
+        assert err.endswith(" moves exceeds the limit of 720\n")
+    assert "3080 moves" in run_err(capsys, "sod", "--preset", "pn-full", "--n", "6")[1]
 
 
 def test_space_dim_limit(tmp_path, capsys):
