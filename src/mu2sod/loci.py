@@ -30,7 +30,7 @@ POINT = "point"
 FERMAT = "fermat"
 POINT_PAIR = "point_pair"
 EMPTY = "empty"
-_CODIM = {AFFINE: 0, PROJ: 1, POINT: 1, FERMAT: 2, POINT_PAIR: 2}  # dim = support size - codim
+_CODIM = {AFFINE: 0, PROJ: 1, POINT: 1, FERMAT: 2, POINT_PAIR: 2}  # dim = size - codim
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,7 +52,7 @@ class LocusPiece:
             raise ValueError("Fermat piece needs at least 3 coordinates")
         if self.kind == POINT_PAIR and n != 2:
             raise ValueError("point pair is supported on two coordinates")
-        object.__setattr__(self, "dim", -1 if self.kind == EMPTY else n - _CODIM[self.kind])
+        object.__setattr__(self, "dim", -1 if self.kind == EMPTY else n - _CODIM.get(self.kind, n))
 
 
 def fixed_pieces(spec: ActionSpec, g: int, mask: int | None = None) -> list[LocusPiece]:

@@ -120,6 +120,8 @@ def test_piece_dim_and_identity():
         assert hash(piece) == hash((kind, tuple(sorted(support))))
         assert repr(piece) == f"LocusPiece(kind={kind!r}, support={tuple(sorted(support))!r})"
     assert LocusPiece("point", (4,)).dim == 0
+    # a kind no locus produces still builds, with dim 0, and is refused where it is classified
+    assert LocusPiece("other", (0, 1)).dim == 0
 
 
 def test_piece_validation():
