@@ -27,7 +27,7 @@ from . import mutations, verify
 from .euler import EulerError, gram_report
 from .groups import ActionSpec, SpecError, bit_list, parse_spec
 from .presets import preset
-from .sod import assemble, coarse_label, msodc_plan, piece_label, report_to_dict
+from .sod import assemble, coarse_label, msodc_plan, piece_label, regrouping, report_to_dict
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
 
@@ -185,12 +185,12 @@ def cmd_analyze(args) -> int:
 
 def _plan_with_gram(spec, report):
     """Regrouping plan, with orthogonality flags when a unipotent Gram is available."""
+    regrouping(report)  # an oversized plan is refused before its Gram is built
     try:
         result = gram_report(spec, report)
-        matrix = result.matrix if result.triangular else None
     except EulerError:
-        matrix = None
-    return msodc_plan(report, matrix)
+        return msodc_plan(report)
+    return msodc_plan(report, result.matrix if result.triangular else None)
 
 
 def cmd_sod(args) -> int:

@@ -44,7 +44,6 @@ from itertools import chain, starmap
 from math import comb
 
 from .groups import ActionSpec, bit_list
-from .inertia import twist_step
 from .mutations import is_unipotent_upper
 from .sod import SodReport, coarse_label
 
@@ -222,9 +221,9 @@ def canonical_generators(
 
     A piece with coarse moduli P^m on support T contributes the
     pullbacks of O(0), ..., O(m), i.e. twists growing by the degree of
-    the quotient map (2 for a squaring quotient, 1 for an identity
-    quotient); a point piece contributes its skyscraper.  Only fully
-    classified projective specs are supported.
+    the quotient map that its component carries (2 for a squaring
+    quotient, 1 for an identity quotient); a point piece contributes its
+    skyscraper.  Only fully classified projective specs are supported.
     """
     if spec.kind == "fermat_quadric":
         raise EulerError("canonical generators on a quadric are not supported")
@@ -233,11 +232,7 @@ def canonical_generators(
     sizes: list[int] = []
     for comp in report.components:
         if comp.coarse == "projective":
-            step = twist_step(spec, comp.piece.support)
-            block = [
-                KObject(comp.piece.support, step * t, 0)
-                for t in range(comp.piece.dim + 1)
-            ]
+            block = [KObject(comp.piece.support, comp.degree * t, 0) for t in range(comp.piece.dim + 1)]
         elif comp.coarse == "point":
             block = [KObject(comp.piece.support[:1], 0, 0)]
         else:

@@ -8,7 +8,8 @@ its element, its piece (of the coarse space's dimension), and
 * the rank, i.e. the Euler characteristic of the coarse moduli,
 * a coarse-moduli kind (affine space / projective space / point) where
   the residual sign action makes the quotient recognizably one of
-  those, and an explicit "undetermined" kind otherwise.
+  those, and an explicit "undetermined" kind otherwise,
+* the degree of its quotient map, where ``classify_piece`` knows it.
 
 ``components`` lists them by element, the + sector before the - sector
 of one element, and the two halves of a split point pair in order;
@@ -20,7 +21,7 @@ h -> (<chi_i, h>)_{i in T} sends G onto the residual sign group R of
 the piece; its kernel, the h orthogonal to every chi_i, has dimension
 k - rank{chi_i}, so |R| = 2^rank{chi_i}.  Modulo the global sign, the
 pattern normalized to a plus sign on the first coordinate t_0 is
-(<chi_i + chi_t0, h>)_i, so that order is 2^rank{chi_i + chi_t0}.
+(<chi_i + chi_t0, h>)_i, so that order is 2^r, r = rank{chi_i + chi_t0}.
 
 * Rank.  By Burnside it is (1/|G|) sum_h chi_c(piece intersect X^h).
   An affine piece meets every X^h in a linear subspace (chi_c = 1), and
@@ -65,68 +66,39 @@ class InertiaComponent:
     split_index: int | None  # 1/2 for the halves of an unswapped point pair
     rank: int
     coarse: str  # "affine" | "projective" | "point" | "undetermined"
+    degree: int | None  # of the quotient map of a projective or Fermat piece, when known
 
 
-def _rank_mod_scalar(spec: ActionSpec, coords: tuple[int, ...]) -> int:
-    """log2 of the residual sign-group order modulo the global sign."""
-    chi_0 = spec.characters[coords[0]]
-    return f2_rank([spec.characters[i] ^ chi_0 for i in coords])
+def classify_piece(spec: ActionSpec, piece: LocusPiece) -> tuple[str, int, int | None]:
+    """(coarse kind, rank, quotient-map degree) of a fixed-locus piece.
 
-
-def classify_piece(spec: ActionSpec, piece: LocusPiece) -> str:
-    """Coarse-moduli kind of the quotient of a fixed-locus piece.
-
-    Projective sectors: a trivial residual sign group leaves the piece
-    untouched, and a full one (order 2^(|T|-1) mod scalars) maps it by
-    coordinate squaring onto a projective space; anything in between is
-    left undetermined.  Fermat sectors become hyperplane sections of the
-    squared projective space when the residual signs are full.
+    A projective or Fermat piece is classified by r, the log2 of its
+    residual sign-group order modulo the global sign.  r = 0 leaves the
+    piece untouched: degree 1.  r = t - 1 maps it by coordinate squaring
+    onto a projective space, pulling O(1) back to O(2): degree 2.  In
+    between there is no degree, and the kind is undetermined.  A Fermat
+    piece, a hyperplane section of the squared space, needs r = t - 1.
     """
-    t = len(piece.support)
+    chars = [spec.characters[i] for i in piece.support]
+    t = len(chars)
     if piece.kind == AFFINE:
-        if t == 0:
-            return "point"
-        chars = [spec.characters[i] for i in piece.support]
-        return "affine" if f2_rank(chars) == t - chars.count(0) else "undetermined"
+        affine = f2_rank(chars) == t - chars.count(0)
+        return "point" if t == 0 else "affine" if affine else "undetermined", 1, None
     if piece.kind in (POINT, POINT_PAIR):
-        return "point"
-    r = _rank_mod_scalar(spec, piece.support)
-    full = r == t - 1
+        return "point", 1, None
+    if piece.kind not in (PROJ, FERMAT):
+        raise ValueError(f"cannot classify piece of kind {piece.kind!r}")
+    r = f2_rank([chi ^ chars[0] for chi in chars])
+    degree = 1 if r == 0 else 2 if r == t - 1 else None
     if piece.kind == PROJ:
-        return "projective" if r == 0 or full else "undetermined"
-    if piece.kind == FERMAT:
-        return "projective" if full else "undetermined"
-    raise ValueError(f"cannot classify piece of kind {piece.kind!r}")
-
-
-def twist_step(spec: ActionSpec, coords: tuple[int, ...]) -> int:
-    """Degree of the quotient map on a classified projective sector.
-
-    2 when the residual signs are full (the quotient squares each
-    coordinate, so pulling back O(1) gives O(2)); 1 when they are
-    trivial (the quotient map is the identity).
-    """
-    r = _rank_mod_scalar(spec, coords)
-    if r == 0:
-        return 1
-    if r == len(coords) - 1:
-        return 2
-    raise ValueError("quotient map degree is only defined for classified sectors")
-
-
-def _piece_rank(spec: ActionSpec, piece: LocusPiece) -> int:
-    t = len(piece.support)
-    if piece.kind in (AFFINE, POINT_PAIR):
-        return 1
-    if piece.kind == FERMAT:
-        parity = reduce(xor, map(spec.characters.__getitem__, piece.support), 0)
-        return t if t % 2 == 0 and parity == 0 else t - 1
-    return t  # point or projective
+        return "undetermined" if degree is None else "projective", t, degree
+    rank = t if t % 2 == 0 and reduce(xor, chars) == 0 else t - 1
+    return "projective" if degree == 2 else "undetermined", rank, degree
 
 
 def _sector_parts(spec: ActionSpec, g: int, mask: int) -> list[tuple]:
-    """(piece, split_index, rank, coarse) of each component over ``g``,
-    whose sign mask is ``mask``."""
+    """(piece, split_index, rank, coarse, degree) of each component over
+    ``g``, whose sign mask is ``mask``."""
     chars = spec.characters
     parts = []
     for piece in fixed_pieces(spec, g, mask):
@@ -134,10 +106,10 @@ def _sector_parts(spec: ActionSpec, g: int, mask: int) -> list[tuple]:
             continue
         pair = piece.kind == POINT_PAIR
         halves = (1, 2) if pair and chars[piece.support[0]] == chars[piece.support[1]] else (None,)
-        coarse, rank = classify_piece(spec, piece), _piece_rank(spec, piece)
+        coarse, rank, degree = classify_piece(spec, piece)
         if coarse == "projective" and rank != piece.dim + 1:
             raise ArithmeticError(f"rank {rank} disagrees with projective coarse type P{piece.dim}")
-        parts += [(piece, half, rank, coarse) for half in halves]
+        parts += [(piece, half, rank, coarse, degree) for half in halves]
     return parts
 
 
@@ -157,5 +129,5 @@ def components(spec: ActionSpec) -> list[InertiaComponent]:
         parts = sectors.get(mask)
         if parts is None:
             parts = sectors[mask] = _sector_parts(spec, g, mask)
-        out += [InertiaComponent(g, piece, half, rank, coarse) for piece, half, rank, coarse in parts]
+        out += [InertiaComponent(g, *part) for part in parts]
     return out

@@ -159,6 +159,20 @@ def _passing_flags(
     return orthogonal
 
 
+def regrouping(report: SodReport) -> tuple[list[int], list[list[int]]]:
+    """``msodc_plan``'s target order, and the blocks each placed block passes,
+    nearest first; more than ``MAX_MOVES`` moves are refused with ``ValueError``."""
+    target = [pos for _, positions in report.grouping for pos in positions]
+    unplaced, passes = list(range(len(report.components))), []
+    for block in target:
+        i = unplaced.index(block)
+        passes.append(unplaced[:i][::-1])
+        del unplaced[i]
+    if (count := sum(map(len, passes))) > MAX_MOVES:
+        raise ValueError(f"regrouping plan of {count} moves exceeds the limit of {MAX_MOVES}")
+    return target, passes
+
+
 def msodc_plan(report: SodReport, gram: Sequence[Sequence[int]] | None = None) -> MutationPlan:
     """Leftward adjacent block moves regrouping the pieces by element.
 
@@ -173,19 +187,11 @@ def msodc_plan(report: SodReport, gram: Sequence[Sequence[int]] | None = None) -
     A left mutation through an exceptional block is the projection onto
     its left orthogonal, fixed by the original pairings, so the flags
     are read off ``gram`` without replaying the moves.  Without a Gram
-    the flag is None (undecidable).  A plan of more than ``MAX_MOVES``
-    moves is refused with ``ValueError`` before any move is built.
+    the flag is None (undecidable).  ``regrouping`` refuses an oversized plan.
     """
     starts = [0, *accumulate(c.rank for c in report.components)]
     bounds = list(map(range, starts, starts[1:]))
-    target = [pos for _, positions in report.grouping for pos in positions]
-    unplaced, passes = list(range(len(bounds))), []
-    for block in target:  # it moves past the unplaced blocks before it, nearest first
-        i = unplaced.index(block)
-        passes.append(unplaced[:i][::-1])
-        del unplaced[i]
-    if (count := sum(map(len, passes))) > MAX_MOVES:
-        raise ValueError(f"regrouping plan of {count} moves exceeds the limit of {MAX_MOVES}")
+    target, passes = regrouping(report)
     if gram is not None:
         n = len(gram)
         if n != starts[-1]:

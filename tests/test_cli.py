@@ -623,6 +623,18 @@ def test_plan_size_limit(monkeypatch, capsys):
     assert "3080 moves" in run_err(capsys, "sod", "--preset", "pn-full", "--n", "6")[1]
 
 
+def test_plan_size_limit_refuses_before_the_gram(tmp_path, capsys):
+    # P^3 with k = 12 (rows e0, e1, e2 and nine zero rows): N = 16,384 canonical
+    # generators pass MAX_GRAM, but the plan has 8,387,584 moves
+    path = tmp_path / "spec.json"
+    rows = [[int(i == j) for j in range(4)] for i in range(3)] + [[0] * 4] * 9
+    path.write_text(json.dumps({"space": {"kind": "projective", "dim": 3}, "group_rank": 12, "action": rows}))
+    start = perf_counter()
+    assert main(["sod", "--json", str(path)]) == 2
+    assert perf_counter() - start < 2.0
+    assert capsys.readouterr() == ("", "error: regrouping plan of 8387584 moves exceeds the limit of 1000000\n")
+
+
 def test_space_dim_limit(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({

@@ -340,10 +340,7 @@ def test_fully_faithful_shadow_binomials():
         for comp in report.components:
             if comp.coarse != "projective":
                 continue
-            m = comp.piece.dim
-            from mu2sod.inertia import twist_step
-
-            step = twist_step(spec, comp.piece.support)
+            m, step = comp.piece.dim, comp.degree
             for a in range(m + 1):
                 for b in range(a, m + 1):
                     first = KObject(comp.piece.support, step * a, 0)
@@ -832,6 +829,26 @@ def test_lefschetz_trace_matches_canonical_grams():
     for spec in [p2_example(), pn_full(1), pn_full(2), pn_full(3)]:
         objects, _ = canonical_generators(spec, assemble(spec))
         assert gram(spec, objects) == trace_matrix(spec, objects)
+
+
+def test_lefschetz_trace_matches_degree_one_grams():
+    # every element of a scalar action fixes all of P^n with no residual
+    # signs, so each block is O(0), ..., O(n) of a degree-1 quotient map
+    rng = random.Random(107)
+    specs = []
+    for n in (1, 2, 3):
+        for k in range(4):
+            rows = [[rng.randint(0, 1)] * (n + 1) for _ in range(k)]
+            specs.append(make_spec("projective", n, rows))
+    assert {row[0] for spec in specs for row in spec.rows} == {0, 1}  # all-ones rows and zero rows
+    for spec in specs:
+        report = assemble(spec)
+        assert {(c.degree, c.piece.dim) for c in report.components} == {(1, spec.dim)}
+        objects, sizes = canonical_generators(spec, report)
+        assert [o.twist for o in objects] == list(range(spec.dim + 1)) * len(sizes)
+        assert gram(spec, objects) == trace_matrix(spec, objects), spec.to_dict()
+        result = gram_report(spec, report)
+        assert result.matrix == tuple(map(tuple, trace_matrix(spec, result.objects))), spec.to_dict()
 
 
 def test_lefschetz_trace_matches_sampled_large_grams():

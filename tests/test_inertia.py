@@ -5,9 +5,9 @@ from collections import Counter
 import pytest
 
 from mu2sod.groups import dot, f2_rank, is_effective, make_spec
-from mu2sod.inertia import InertiaComponent, _piece_rank, classify_piece, components, twist_step
+from mu2sod.inertia import InertiaComponent, classify_piece, components
 from mu2sod.sod import _smoothness
-from mu2sod.loci import AFFINE, LocusPiece, fixed_pieces
+from mu2sod.loci import AFFINE, PROJ, LocusPiece, fixed_pieces
 from mu2sod.presets import etale, p2_example, pn_full, quadric
 from test_oracle_sweep import chi_c_total, oracle_pieces, random_spec
 
@@ -140,7 +140,7 @@ def test_coarse_types_p2():
     plane = next(c for c in comps if c.piece.dim == 2)
     assert (plane.coarse, plane.piece.dim) == ("projective", 2)
     assert _smoothness(plane) == "smooth"
-    assert classify_piece(spec, plane.piece) == plane.coarse
+    assert classify_piece(spec, plane.piece)[0] == plane.coarse
 
 
 def test_coarse_type_quadric_untwisted():
@@ -240,7 +240,7 @@ def test_affine_pieces_classified_by_drop_one_rule():
                 continue
             r, flips = drop_one_flips([spec.characters[i] for i in comp.piece.support])
             expected = "affine" if flips == r else "undetermined"
-            assert classify_piece(spec, comp.piece) == comp.coarse == expected, spec.to_dict()
+            assert classify_piece(spec, comp.piece)[0] == comp.coarse == expected, spec.to_dict()
             verdicts[expected] += 1
     assert verdicts["affine"] and verdicts["undetermined"]
 
@@ -273,9 +273,14 @@ def test_affine_closed_form_matches_rank_and_flips():
         r, flips = rank_and_flips(chars)
         piece = LocusPiece(AFFINE, tuple(range(len(chars))))
         expected = "affine" if flips == r else "undetermined"
-        assert classify_piece(affine_piece_spec(chars, k), piece) == expected, (k, chars)
+        assert classify_piece(affine_piece_spec(chars, k), piece)[0] == expected, (k, chars)
         classified[expected] += 1
     assert classified["affine"] and classified["undetermined"]
+
+
+def degree(spec, coords):
+    """The quotient-map degree of the projective piece on ``coords``."""
+    return classify_piece(spec, LocusPiece(PROJ, coords))[2]
 
 
 def test_residual_signs_mod_scalar():
@@ -295,10 +300,9 @@ def test_residual_signs_mod_scalar():
     for coords in [(0, 1, 2), (1, 2)]:
         chi_0 = spec.characters[coords[0]]
         assert len(classes(coords)) == 1 << f2_rank(spec.characters[i] ^ chi_0 for i in coords)
-        assert twist_step(spec, coords) == 2
-    assert twist_step(make_spec("projective", 2, []), (0, 1, 2)) == 1
-    with pytest.raises(ValueError):
-        twist_step(make_spec("projective", 2, [[1, 0, 0]]), (0, 1, 2))
+        assert degree(spec, coords) == 2
+    assert degree(make_spec("projective", 2, []), (0, 1, 2)) == 1
+    assert degree(make_spec("projective", 2, [[1, 0, 0]]), (0, 1, 2)) is None
 
 
 def test_projective_rank_cross_check():
@@ -347,8 +351,8 @@ def reference_components(spec):
                 continue
             pair = piece.kind == "point_pair"
             halves = (1, 2) if pair and chars[piece.support[0]] == chars[piece.support[1]] else (None,)
-            rank, coarse = _piece_rank(spec, piece), classify_piece(spec, piece)
-            out += [InertiaComponent(g, piece, half, rank, coarse) for half in halves]
+            coarse, rank, degree = classify_piece(spec, piece)
+            out += [InertiaComponent(g, piece, half, rank, coarse, degree) for half in halves]
     return out
 
 

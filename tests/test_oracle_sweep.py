@@ -19,7 +19,7 @@ from collections import Counter
 import pytest
 
 from mu2sod.groups import dot, is_effective, make_spec
-from mu2sod.inertia import classify_piece, components, twist_step
+from mu2sod.inertia import classify_piece, components
 from mu2sod.loci import LocusPiece, fixed_pieces
 from mu2sod.presets import pn_full, quadric
 from mu2sod.sod import _smoothness, assemble
@@ -162,7 +162,7 @@ def oracle_classify(doc, piece):
     return ("undetermined", t - 1 if piece.kind == "projective" else t - 2), "unknown"
 
 
-def oracle_twist_step(doc, coords):
+def oracle_degree(doc, coords):
     classes = len(pattern_classes_mod_scalar(doc, coords))
     return {1: 1, 1 << (len(coords) - 1): 2}.get(classes)
 
@@ -185,16 +185,13 @@ def check_components(spec):
         halves = 2 if comp.split_index else 1
         assert comp.rank * halves == burnside_average(doc, piece), (doc, comp)
         (kind, dim), smooth = oracle_classify(doc, piece)
-        coarse = classify_piece(spec, piece)
+        coarse, rank, degree = classify_piece(spec, piece)
         assert (coarse, piece.dim, _smoothness(comp)) == (kind, dim, smooth), (doc, comp)
-        assert comp.coarse == coarse
+        assert (comp.coarse, comp.rank, comp.degree) == (coarse, rank, degree)
         if piece.kind in ("projective", "fermat"):
-            expected = oracle_twist_step(doc, piece.support)
-            if expected is None:
-                with pytest.raises(ValueError):
-                    twist_step(spec, piece.support)
-            else:
-                assert twist_step(spec, piece.support) == expected, (doc, comp)
+            assert comp.degree == oracle_degree(doc, piece.support), (doc, comp)
+        else:
+            assert comp.degree is None, (doc, comp)
 
 
 def test_fixed_pieces_match_definition():

@@ -2,6 +2,8 @@
 every public name is the object of its home submodule, however it is
 imported, and the README's library example runs as written."""
 
+import ast
+import importlib
 import json
 import os
 import re
@@ -100,3 +102,33 @@ ALL_NINE = ["cli", "euler", "groups", "inertia", "loci", "mutations", "presets",
 ])
 def test_import_loads_only_what_it_names(statement, loaded):
     assert json.loads(run_fresh("-c", LOADS.format(statement))) == loaded
+
+
+# traced names whose functions are gone; the benchmark's tracer skips them,
+# and their metrics read 0 until its layer list drops them
+DEAD_LAYERS = {
+    "inertia.burnside_average",
+    "loci.refine_piece",
+    "loci.fixed_pieces_subgroup",
+    "loci.sectors",
+    "groups.projective_kernel",
+    "euler.euler_pairing",
+    "euler.koszul",
+    "mutations.pairing",
+    "mutations.blocks_orthogonal",
+}
+
+
+def test_traced_layers_are_callables_of_the_package():
+    # read as text: importing the benchmark would write under its directory
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    ]
+    for name in layers:
+        module, function = name.split(".")
+        resolved = callable(getattr(importlib.import_module(f"mu2sod.{module}"), function, None))
+        assert resolved == (name not in DEAD_LAYERS), name
+    assert "inertia.classify_piece" in layers
