@@ -313,20 +313,11 @@ def cmd_verify(args) -> int:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone: the others
-    then keep only the name and summary that ``mu2sod`` itself reads."""
+    """The parser of every command, or ``command``'s own parser alone: the
+    one that the full parser hands that command's arguments to."""
     # argparse reads the terminal width once per formatter, and every
     # add_argument builds one; read it once, as HelpFormatter would
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
-    parser = argparse.ArgumentParser(
-        prog="mu2sod",
-        description="Inertia components, semiorthogonal decompositions, and "
-        "K-theoretic checks for diagonal mu_2^k actions.",
-        formatter_class=formatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
     def add_common(p):
         p.add_argument("input", nargs="?", help="action-spec JSON document")
@@ -347,16 +338,27 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         add_common(p)
         p.add_argument("--check", help=f"named check ({', '.join(_CHECKS)})")
 
-    for name, summary, add_arguments in [
-        ("analyze", "list inertia components", add_common),
-        ("sod", "ordered decomposition and regrouping plan", add_common),
-        ("gram", "canonical-generator Gram matrix", add_common),
-        ("mutate", "apply a mutation script to a sequence", add_mutate),
-        ("verify", "run oracle checks", add_verify),
-    ]:
-        p = sub.add_parser(name, help=summary, formatter_class=formatter)
-        if command in (None, name):
-            add_arguments(p)
+    commands = {
+        "analyze": ("list inertia components", add_common),
+        "sod": ("ordered decomposition and regrouping plan", add_common),
+        "gram": ("canonical-generator Gram matrix", add_common),
+        "mutate": ("apply a mutation script to a sequence", add_mutate),
+        "verify": ("run oracle checks", add_verify),
+    }
+    if command:
+        parser = argparse.ArgumentParser(prog=f"mu2sod {command}", formatter_class=formatter)
+        parser.set_defaults(command=command)
+        commands[command][1](parser)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="mu2sod",
+        description="Inertia components, semiorthogonal decompositions, and "
+        "K-theoretic checks for diagonal mu_2^k actions.",
+        formatter_class=formatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments) in commands.items():
+        add_arguments(sub.add_parser(name, help=summary, formatter_class=formatter))
     return parser
 
 
@@ -369,8 +371,12 @@ def main(argv=None) -> int:
         "mutate": cmd_mutate,
         "verify": cmd_verify,
     }
-    # a leading command name parses exactly as with the full parser
-    args = build_parser(argv[0] if argv and argv[0] in handlers else None).parse_args(argv)
+    # a leading command's own parser, and the full one for what it leaves over
+    args = rest = None
+    if argv and argv[0] in handlers:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return handlers[args.command](args)
     except ValueError as exc:  # SpecError included

@@ -2,8 +2,8 @@
 
 For an abelian group every inertia component sits over a single group
 element g: it is a connected piece of the fixed locus of g together with
-the residual action of the whole group.  Each component is one record:
-its element, its piece (of the coarse space's dimension), and
+the residual action of the whole group.  Each component is one record,
+a tuple: its element, its piece (of the coarse space's dimension), and
 
 * the rank, i.e. the Euler characteristic of the coarse moduli,
 * a coarse-moduli kind (affine space / projective space / point) where
@@ -13,7 +13,8 @@ its element, its piece (of the coarse space's dimension), and
 
 ``components`` lists them by element, the + sector before the - sector
 of one element, and the two halves of a split point pair in order;
-``sod.assemble`` relies on that order for its tie-break.
+``sod.assemble`` relies on that order for its tie-break.  Records and
+their pieces are built straight from their fields, with no check.
 
 All of it is read off the characters chi_i of the coordinates i in the
 piece's support T (t = |T|), without enumerating the group.  The map
@@ -50,7 +51,7 @@ pattern normalized to a plus sign on the first coordinate t_0 is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import xor
 
@@ -59,14 +60,9 @@ from .loci import AFFINE, EMPTY, FERMAT, POINT, POINT_PAIR, PROJ
 from .loci import LocusPiece, fixed_pieces
 
 
-@dataclass(frozen=True, slots=True)
-class InertiaComponent:
-    element: int
-    piece: LocusPiece  # the coarse space has dimension piece.dim
-    split_index: int | None  # 1/2 for the halves of an unswapped point pair
-    rank: int
-    coarse: str  # "affine" | "projective" | "point" | "undetermined"
-    degree: int | None  # of the quotient map of a projective or Fermat piece, when known
+# as above; split_index is 1 or 2 for the halves of an unswapped point pair, else None
+InertiaComponent = namedtuple("InertiaComponent", "element piece split_index rank coarse degree")
+_new = tuple.__new__
 
 
 def classify_piece(spec: ActionSpec, piece: LocusPiece) -> tuple[str, int, int | None]:
@@ -98,7 +94,7 @@ def classify_piece(spec: ActionSpec, piece: LocusPiece) -> tuple[str, int, int |
 
 def _sector_parts(spec: ActionSpec, g: int, mask: int) -> list[tuple]:
     """(piece, split_index, rank, coarse, degree) of each component over
-    ``g``, whose sign mask is ``mask``."""
+    ``g``, whose sign mask is ``mask``: the fields after the element."""
     chars = spec.characters
     parts = []
     for piece in fixed_pieces(spec, g, mask):
@@ -126,8 +122,7 @@ def components(spec: ActionSpec) -> list[InertiaComponent]:
     sectors: dict[int, list[tuple]] = {}
     out = []
     for g, mask in enumerate(masks):
-        parts = sectors.get(mask)
-        if parts is None:
-            parts = sectors[mask] = _sector_parts(spec, g, mask)
-        out += [InertiaComponent(g, *part) for part in parts]
+        if mask not in sectors:
+            sectors[mask] = _sector_parts(spec, g, mask)
+        out += [_new(InertiaComponent, (g, *part)) for part in sectors[mask]]
     return out

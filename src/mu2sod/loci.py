@@ -14,13 +14,13 @@ sector).  The locus fixed by the element is assembled from the sectors:
   x^2 = 0 has no projective point and x^2 + y^2 = 0 is a pair of
   reduced points.
 
-Pieces carry the combinatorial data downstream actually needs: geometry
-tag, supporting coordinate set and dimension.
+A piece is a tuple (geometry tag, supporting coordinate set, dimension);
+only a caller that builds one pays for sorting and checking its support.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .groups import ActionSpec, dot
 
@@ -31,32 +31,48 @@ FERMAT = "fermat"
 POINT_PAIR = "point_pair"
 EMPTY = "empty"
 _CODIM = {AFFINE: 0, PROJ: 1, POINT: 1, FERMAT: 2, POINT_PAIR: 2}  # dim = size - codim
+_BYTE_BITS = [tuple(i for i in range(8) if byte >> i & 1) for byte in range(256)]  # set bits
+_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class LocusPiece:
-    """One geometric piece of a fixed locus, supported on a coordinate set."""
+def _set_bits(bits: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``bits`` >= 0, lowest first, a byte at a time."""
+    if bits < 256:
+        return _BYTE_BITS[bits]
+    return (*_BYTE_BITS[bits & 255], *(8 + i for i in _set_bits(bits >> 8)))
 
-    kind: str
-    support: tuple[int, ...]
-    dim: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "support", tuple(sorted(self.support)))
-        n = len(self.support)
-        if self.kind == PROJ and n < 2:
+class LocusPiece(namedtuple("LocusPiece", "kind support dim")):
+    """One geometric piece of a fixed locus, supported on a coordinate set;
+    ``dim`` follows from the other two and takes no part in hash or repr."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, support) -> LocusPiece:
+        support = tuple(sorted(support))
+        n = len(support)
+        if kind == PROJ and n < 2:
             raise ValueError("projective piece needs at least 2 coordinates")
-        if self.kind == POINT and n != 1:
+        if kind == POINT and n != 1:
             raise ValueError("a reduced point is supported on one coordinate")
-        if self.kind == FERMAT and n < 3:
+        if kind == FERMAT and n < 3:
             raise ValueError("Fermat piece needs at least 3 coordinates")
-        if self.kind == POINT_PAIR and n != 2:
+        if kind == POINT_PAIR and n != 2:
             raise ValueError("point pair is supported on two coordinates")
-        object.__setattr__(self, "dim", -1 if self.kind == EMPTY else n - _CODIM.get(self.kind, n))
+        return _new(cls, (kind, support, -1 if kind == EMPTY else n - _CODIM.get(kind, n)))
+
+    def __repr__(self) -> str:
+        return f"LocusPiece(kind={self.kind!r}, support={self.support!r})"
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
+
+    def __getnewargs__(self) -> tuple:
+        return self[:2]
 
 
 def fixed_pieces(spec: ActionSpec, g: int, mask: int | None = None) -> list[LocusPiece]:
-    """Pieces of the locus fixed by the element ``g``.
+    """Pieces of the locus fixed by the element ``g``, built sorted and valid.
 
     The coordinates split into the + sector, then the - sector of ``g``;
     an empty sector is left out.  Affine: the + sector only.  Projective:
@@ -67,16 +83,15 @@ def fixed_pieces(spec: ActionSpec, g: int, mask: int | None = None) -> list[Locu
     """
     if mask is None:
         mask = sum(dot(chi, g) << i for i, chi in enumerate(spec.characters))
-    plus = [i for i in range(spec.num_coords) if not mask >> i & 1]
+    plus = _set_bits(mask ^ (1 << spec.num_coords) - 1)
     if spec.kind == "affine":
-        return [LocusPiece(AFFINE, plus)]
-    minus = [i for i in range(spec.num_coords) if mask >> i & 1]
+        return [_new(LocusPiece, (AFFINE, plus, len(plus)))]
     pieces = []
-    for coords in filter(None, (plus, minus)):
+    for coords in filter(None, (plus, _set_bits(mask))):
         n = len(coords)
         if spec.kind == "projective":
             kind = POINT if n == 1 else PROJ
         else:
             kind = EMPTY if n == 1 else POINT_PAIR if n == 2 else FERMAT
-        pieces.append(LocusPiece(kind, coords))
+        pieces.append(_new(LocusPiece, (kind, coords, -1 if kind == EMPTY else n - _CODIM[kind])))
     return pieces

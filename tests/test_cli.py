@@ -1010,16 +1010,22 @@ def test_main_parses_as_the_full_parser(monkeypatch):
 def test_main_builds_the_called_commands_parser(monkeypatch, capsys):
     built, real = [], cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+    # a well-formed command line builds its command's parser alone
     assert main(["verify", "--check", "etale", "--n", "2", "--k", "1"]) == 0
+    assert built == ["verify"]
+    # leftover arguments are reported by the full parser
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["sod", "--bogus"])
+    assert built == ["sod", None]
+    built.clear()
     for argv in ([], ["-h"], ["so"], ["--bogus", "sod", "--json"]):  # no leading command
         with pytest.raises(SystemExit):
             main(argv)
-    assert built == ["verify", None, None, None, None]
-    # the other commands keep their names and summaries, and no arguments
-    assert real("sod").format_help() == real().format_help()
-    assert real("sod").parse_args(["gram"]).command == "gram"
-    with pytest.raises(SystemExit):
-        real("sod").parse_args(["gram", "--preset", "p2-example"])
+    assert built == [None, None, None, None]
+    # the command's own parser is the one the full parser hands its arguments to
+    assert real("sod").format_help() == real()._subparsers._group_actions[0].choices["sod"].format_help()
+    assert real("sod").parse_args([]).command == "sod"
     capsys.readouterr()
 
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -384,3 +386,15 @@ def test_components_match_reference_random():
 @pytest.mark.parametrize("spec", [etale(12, 12), pn_full(12)], ids=["etale-12-12", "pn-full-12"])
 def test_components_match_reference_at_the_rank_limit(spec):
     assert_components_match_reference(spec)
+
+
+def test_components_copy_and_pickle():
+    # records of both types, pieces built unchecked by fixed_pieces among them
+    spec = make_spec("fermat_quadric", 16, [[1] * 9 + [0] * 9, [1, 1] + [0] * 16])
+    for comp in [*components(spec), *components(quadric(2)), *components(etale(3, 2))]:
+        clones = [copy.copy(comp), copy.deepcopy(comp)]
+        clones += [pickle.loads(pickle.dumps(comp, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones:
+            assert type(clone) is InertiaComponent and type(clone.piece) is LocusPiece
+            assert clone == comp and hash(clone) == hash(comp) and repr(clone) == repr(comp)
+            assert tuple(clone.piece) == tuple(comp.piece)

@@ -1,11 +1,14 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from mu2sod.groups import make_spec
-from mu2sod.loci import LocusPiece, fixed_pieces
-from mu2sod.presets import etale, p2_example, quadric
+from mu2sod.loci import _BYTE_BITS, LocusPiece, _set_bits, fixed_pieces
+from mu2sod.presets import etale, p2_example, pn_full, quadric
 from test_oracle_sweep import chi_c_total, oracle_chi, oracle_pieces
+from test_oracle_sweep import random_spec as random_spec_of_kind
 
 
 def random_spec(rng):
@@ -206,3 +209,60 @@ def test_refine_piece_point_pair():
     assert chi_inside_pair(0b000) == 2
     assert chi_inside_pair(0b011) == 2
     assert chi_inside_pair(0b001) == 0
+
+
+def ladder_and_seeded_specs():
+    """The preset ladder, specs whose sign masks are wider than a byte
+    (pn-full n = 8, 9; 16-dimensional spaces of each kind, 18 coordinates
+    on the quadric) and 300 seeded specs of all three kinds, up to
+    dimension 16."""
+    specs = [p2_example(), *map(pn_full, range(1, 10)), *map(quadric, range(1, 6))]
+    specs += [etale(n, k) for n in range(1, 6) for k in range(n + 1)]
+    rng = random.Random(41)
+    for kind, c in (("affine", 16), ("projective", 17), ("fermat_quadric", 18)):
+        specs += [make_spec(kind, 16, [[rng.randint(0, 1) for _ in range(c)] for _ in range(k)]) for k in (3, 5)]
+    for i in range(300):
+        specs.append(random_spec_of_kind(rng, ("affine", "projective", "fermat_quadric")[i % 3], max_dim=16))
+    return specs
+
+
+def test_fixed_pieces_build_what_the_checked_constructor_builds():
+    # fixed_pieces builds its pieces without sorting or checking them: each
+    # is the piece that LocusPiece(kind, support) builds, field for field
+    widths, rng = set(), random.Random(37)
+    for spec in ladder_and_seeded_specs():
+        widths.add(spec.num_coords)
+        masks = [rng.getrandbits(spec.num_coords) for _ in range(8)]  # any sign mask, given
+        calls = [(g, None) for g in range(min(1 << spec.rank, 64))] + [(0, mask) for mask in masks]
+        for g, mask in calls:
+            for piece in fixed_pieces(spec, g, mask):
+                checked = LocusPiece(piece.kind, piece.support)
+                assert type(piece) is LocusPiece
+                assert tuple(piece) == tuple(checked), (spec, g, mask)
+                assert hash(piece) == hash(checked)
+                assert repr(piece) == repr(checked)
+    assert max(widths) == 18 and len(widths) > 10
+
+
+def test_set_bits_match_a_bit_loop():
+    def bit_loop(bits):
+        return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+    assert len(_BYTE_BITS) == 256
+    assert all(_BYTE_BITS[byte] == bit_loop(byte) for byte in range(256))
+    rng = random.Random(31)
+    for bits in [*range(1 << 12), *(rng.getrandbits(rng.randint(9, 40)) for _ in range(2000))]:
+        assert _set_bits(bits) == bit_loop(bits), bits
+
+
+def test_piece_copies_and_pickles():
+    spec = make_spec("fermat_quadric", 16, [[1] * 9 + [0] * 9])
+    pieces = [*fixed_pieces(spec, 1), *fixed_pieces(pn_full(3), 0b101), LocusPiece("point", (4,))]
+    pieces += [LocusPiece("empty", (1,)), LocusPiece("other", (1, 0))]
+    for piece in pieces:
+        clones = [copy.copy(piece), copy.deepcopy(piece)]
+        clones += [pickle.loads(pickle.dumps(piece, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones:
+            assert type(clone) is LocusPiece
+            assert tuple(clone) == tuple(piece)
+            assert hash(clone) == hash(piece) and repr(clone) == repr(piece)
