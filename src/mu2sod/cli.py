@@ -7,8 +7,9 @@ mutation script to a serialized sequence), ``verify`` (oracle checks).
 
 Inputs come either from a JSON action-spec document or from a built-in
 preset; exactly one source must be given.  Human tables are advisory;
-``--json`` output is the stable contract.  Exit status: 0 success,
-1 verification failure, 2 input error.
+``--json`` output is the stable contract, streamed a piece at a time
+(``analyze`` and ``sod`` format their component records straight from
+the report).  Exit status: 0 success, 1 verification failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import sys
 from itertools import chain, repeat
 from operator import itemgetter
 
-from . import mutations, verify
+from . import mutations, sod, verify
 from .euler import EulerError, gram_report
 from .groups import ActionSpec, SpecError, bit_list, parse_spec
 from .presets import preset
-from .sod import assemble, coarse_label, msodc_plan, piece_label, regrouping, report_to_dict
+from .sod import assemble, coarse_label, msodc_plan, piece_label, regrouping
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
 
@@ -66,8 +67,8 @@ def _emit(text, out_path: str | None) -> None:
 
 
 def _emit_json(doc, out_path: str | None) -> None:
-    """Write exactly the bytes of ``json.dumps(doc, sort_keys=True,
-    indent=2)`` and a newline, a piece at a time."""
+    """Write exactly the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``,
+    where a callable value writes its own text, and a newline, a piece at a time."""
     _emit(_write(doc, "\n"), out_path)
 
 
@@ -143,8 +144,38 @@ def _write(value, newline: str):
         openers = chain(["[" + inner], repeat("," + inner))  # a big matrix is never joined
         yield from chain.from_iterable(zip(openers, _column(value, inner)))
         yield newline + "]" if value else "[]"
+    elif callable(value):  # a writer of its own text, such as _component_records
+        yield from value(newline)
     else:
         yield json.dumps(value)
+
+
+def _component_records(report, newline: str):
+    """``report_to_dict(report)["components"]`` as text at the nesting level
+    of ``newline``, a record at a time: each element's bits, and the fields
+    that (coarse, kind, dim, rank, split index) fix, are formatted once."""
+    record, field, entry = newline + "  ", newline + "    ", newline + "      "
+    k, sep, text = report.spec.rank, "," + entry, _INT_TEXT.__getitem__
+    elements = {g: sep.join(map(text, bit_list(g, k))) for g, _ in report.grouping}
+    opened, closed = (f"[{entry}", f"{field}]") if k else ("[", "]")  # the elements' brackets
+    shared, opener = {}, "[" + record
+    for comp in report.components:
+        g, (kind, support, dim), split_index, rank, coarse, _ = comp
+        if (key := (coarse, kind, dim, rank, split_index)) not in shared:
+            label = _ENCODE_STR(sod._label_name(kind, dim, split_index) + "[")[:-1]  # the ids follow
+            shared[key] = (
+                f'{{{field}"coarse_type": {{{entry}"dim": {dim},{entry}"kind": {_ENCODE_STR(coarse)}'
+                f'{field}}},{field}"dim": {dim},{field}"element": {opened}',
+                f'{closed},{field}"geometry": {_ENCODE_STR(kind)},{field}"label": {label}',
+                f']",{field}"rank": {rank},{field}"smooth": {_ENCODE_STR(sod._smoothness(comp))},{field}'
+                f'"split_index": {"null" if split_index is None else split_index},{field}"support": ',
+            )
+        head, middle, tail = shared[key]
+        ids = ",".join(map(text, support))  # the label's and the support's
+        listed = f"[{entry}{ids.replace(',', sep)}{field}]" if ids else "[]"
+        yield "".join((opener, head, elements[g], middle, ids, tail, listed, record, "}"))
+        opener = "," + record
+    yield newline + "]" if report.components else "[]"
 
 
 def _load_spec(args) -> ActionSpec:
@@ -161,20 +192,17 @@ def _load_spec(args) -> ActionSpec:
     raise SpecError("no input: give a spec file or --preset")
 
 
-def _element_str(g: int, k: int) -> str:
-    return "".join(str(b) for b in bit_list(g, k)) if k else "()"
-
-
 def cmd_analyze(args) -> int:
     spec = _load_spec(args)
     report = assemble(spec)
     if args.json:
-        _emit_json(report_to_dict(report, full=False), args.out)
+        _emit_json(sod._report_doc(report, False, functools.partial(_component_records, report)), args.out)
         return OK
     lines = [f"{'pos':>3}  {'element':>8}  {'piece':<14} {'dim':>3}  {'coarse':<16} {'rank':>4}"]
     for pos, comp in enumerate(report.components):
+        element = "".join(map(str, bit_list(comp.element, spec.rank))) or "()"
         lines.append(
-            f"{pos:>3}  {_element_str(comp.element, spec.rank):>8}  {piece_label(comp):<14}"
+            f"{pos:>3}  {element:>8}  {piece_label(comp):<14}"
             f" {comp.piece.dim:>3}  {coarse_label(comp):<16} {comp.rank:>4}"
         )
     if not report.effective:
@@ -199,9 +227,8 @@ def cmd_sod(args) -> int:
     plan = _plan_with_gram(spec, report)
     grouped_labels = [piece_label(report.components[i]) for i in plan.block_order]
     if args.json:
-        doc = report_to_dict(report)
-        doc["msodc"] = plan.to_dict()
-        doc["msodc"]["grouped_labels"] = grouped_labels
+        doc = sod._report_doc(report, True, functools.partial(_component_records, report))
+        doc["msodc"] = {**plan.to_dict(), "grouped_labels": grouped_labels}
         _emit_json(doc, args.out)
         return OK
     lines = [f"decomposition ({len(report.components)} pieces, total rank {report.total_rank}):"]
@@ -295,6 +322,9 @@ def _verify_checks(args) -> list[verify.CheckResult]:
     if name:
         if name not in _CHECKS:
             raise SpecError(f"unknown check {name!r}")
+        # only these checks read a spec; --preset alone may name the check instead
+        if name not in ("projective-rank", "burnside-total") and (args.input or args.check and args.preset):
+            raise SpecError(f"the {name} check reads no {'input file' if args.input else '--preset'}")
         return [_CHECKS[name](args)]
     if args.preset or args.input:
         spec = _load_spec(args)
@@ -364,13 +394,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    handlers = {
-        "analyze": cmd_analyze,
-        "sod": cmd_sod,
-        "gram": cmd_gram,
-        "mutate": cmd_mutate,
-        "verify": cmd_verify,
-    }
+    handlers = {"analyze": cmd_analyze, "sod": cmd_sod, "gram": cmd_gram,
+                "mutate": cmd_mutate, "verify": cmd_verify}
     # a leading command's own parser, and the full one for what it leaves over
     args = rest = None
     if argv and argv[0] in handlers:

@@ -114,15 +114,23 @@ def components(spec: ActionSpec) -> list[InertiaComponent]:
     except that a point pair nobody swaps contributes two components.
     Listed by element, + sector first, then by split index.  They depend
     on the element's sign mask alone, and mask(g ^ h) = mask(g) ^ mask(h):
-    the masks come from the generators' rows by XOR, each classified once."""
+    the masks come from the generators' rows by XOR, each classified once.
+    On P^n and a quadric, complementary masks give the same pieces with
+    the two sectors swapped: each pair is classified once."""
     masks = [0]
     for row in spec.rows:
         generator = sum(b << i for i, b in enumerate(row))
         masks += [m ^ generator for m in masks]
+    full = 0 if spec.kind == "affine" else (1 << spec.num_coords) - 1
     sectors: dict[int, list[tuple]] = {}
     out = []
     for g, mask in enumerate(masks):
         if mask not in sectors:
-            sectors[mask] = _sector_parts(spec, g, mask)
+            if full and (mask ^ full) in sectors:  # the twin's parts, its + sector's moved last
+                parts = sectors[mask ^ full]
+                plus = 2 if parts and parts[0][1] == 1 else 1  # a split pair's halves stay in order
+                sectors[mask] = parts[plus:] + parts[:plus]
+            else:
+                sectors[mask] = _sector_parts(spec, g, mask)
         out += [_new(InertiaComponent, (g, *part)) for part in sectors[mask]]
     return out

@@ -74,12 +74,15 @@ def assemble(spec: ActionSpec) -> SodReport:
 
 def piece_label(comp: InertiaComponent) -> str:
     """Short human-readable tag, e.g. P1[1,2] or pt[0]."""
-    kind = comp.piece.kind
+    kind, support, dim = comp.piece
+    return f"{_label_name(kind, dim, comp.split_index)}[{','.join(map(str, support))}]"
+
+
+def _label_name(kind: str, dim: int, split_index: int | None) -> str:
+    """The part of ``piece_label`` before the support, e.g. P1 or pair.2."""
     if kind == "point_pair":
-        name = "pair" if comp.split_index is None else f"pair.{comp.split_index}"
-    else:
-        name = "pt" if kind == "point" else f"{_LETTERS[kind]}{comp.piece.dim}"
-    return f"{name}[{','.join(map(str, comp.piece.support))}]"
+        return "pair" if split_index is None else f"pair.{split_index}"
+    return "pt" if kind == "point" else f"{_LETTERS[kind]}{dim}"
 
 
 _LETTERS = {"affine": "A", "projective": "P", "fermat": "Q"}
@@ -94,12 +97,9 @@ def coarse_label(comp: InertiaComponent) -> str:
 
 def report_to_dict(report: SodReport, full: bool = True) -> dict:
     """The report's ``--json`` document, or only the components and flags."""
-    k = report.spec.rank
-    bits = {g: bit_list(g, k) for g, _ in report.grouping}  # every element with a component
-    doc = report.spec.to_dict() if full else {}
-    doc["components"] = [
+    return _report_doc(report, full, [
         {
-            "element": bits[c.element],
+            "element": bit_list(c.element, report.spec.rank),
             "support": list(c.piece.support),
             "geometry": c.piece.kind,
             "dim": c.piece.dim,
@@ -110,14 +110,21 @@ def report_to_dict(report: SodReport, full: bool = True) -> dict:
             "label": piece_label(c),
         }
         for c in report.components
-    ]
+    ])
+
+
+def _report_doc(report: SodReport, full: bool, components) -> dict:
+    """``report_to_dict``'s document around a given ``components`` value."""
+    k = report.spec.rank
+    doc = report.spec.to_dict() if full else {}
+    doc["components"] = components
     if full:
         doc["order"] = list(range(len(report.components)))
         doc["total_rank"] = report.total_rank
-        doc["grouping"] = [{"element": bits[g], "positions": list(ps)} for g, ps in report.grouping]
+        doc["grouping"] = [{"element": bit_list(g, k), "positions": list(ps)} for g, ps in report.grouping]
     doc["flags"] = {
         "effective": report.effective,
-        "kernel": [bits[g] for g in report.kernel],
+        "kernel": [bit_list(g, k) for g in report.kernel],
         "smoothness_warnings": list(report.smoothness_warnings),
     }
     return doc

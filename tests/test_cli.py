@@ -7,7 +7,7 @@ import random
 import shlex
 import subprocess
 import sys
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from pathlib import Path
 from time import perf_counter
 
@@ -16,10 +16,12 @@ import pytest
 from mu2sod import cli, euler, groups, mutations, sod, verify
 from mu2sod.cli import main
 from mu2sod.euler import gram_report
+from mu2sod.groups import make_spec
 from mu2sod.mutations import identity_sequence
 from mu2sod.presets import p2_example
-from mu2sod.sod import assemble, report_to_dict
+from mu2sod.sod import assemble, piece_label, report_to_dict
 from test_golden import PRESETS, golden_outputs
+from test_oracle_sweep import random_spec
 
 P2_DOC = {
     "space": {"kind": "projective", "dim": 2},
@@ -548,6 +550,32 @@ def test_verify_presets_need_their_sizes(capsys):
         assert message in err
 
 
+def test_verify_refuses_a_source_its_check_does_not_read(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(P2_DOC))
+    for argv, line in [
+        (["--check", "etale", "--n", "2", "--k", "1", "extra"], "error: the etale check reads no input file\n"),
+        (["--check", "etale", "--n", "2", "--k", "1", str(path)], "error: the etale check reads no input file\n"),
+        (["--check", "gram-presets", "--preset", "pn-full", "--n", "3"], "error: the gram-presets check reads no --preset\n"),
+        (["--check", "quadric", "--q-dim", "2", "--preset", "etale"], "error: the quadric check reads no --preset\n"),
+        (["--check", "etale-sweep", str(path)], "error: the etale-sweep check reads no input file\n"),
+        (["--preset", "etale", "--n", "2", "--k", "1", str(path)], "error: the etale check reads no input file\n"),
+        (["--preset", "quadric", "--q-dim", "2", "extra"], "error: the quadric check reads no input file\n"),
+    ]:
+        assert main(["verify", *argv]) == 2, argv
+        assert capsys.readouterr() == ("", line)
+    # a check that reads a spec takes either source, and --preset etale or
+    # quadric alone still names its check
+    for argv in (
+        ["--check", "projective-rank", str(path)],
+        ["--check", "burnside-total", "--preset", "pn-full", "--n", "2"],
+        ["--preset", "etale", "--n", "2", "--k", "1"],
+        ["--preset", "quadric", "--q-dim", "2"],
+    ):
+        assert main(["verify", *argv]) == 0, argv
+        assert capsys.readouterr().err == ""
+
+
 def test_verify_programming_error_propagates(monkeypatch, capsys):
     # a TypeError inside a check is a bug, not bad input: no exit 2
     def broken(*args, **kwargs):
@@ -685,15 +713,22 @@ LADDER = {
 
 
 def test_dump_matches_json_dumps_on_every_command(monkeypatch, capsys, tmp_path):
-    # every command writes its --json document through cli._emit_json
-    documents = []
-    emit_json = cli._emit_json
+    # every command writes its --json document through cli._emit_json; the
+    # components slot of analyze and sod is text that cli._component_records
+    # writes, whose reference is report_to_dict of the report assembled for it
+    documents, reports = [], []
+    emit_json, real_assemble = cli._emit_json, cli.assemble
 
     def recording_emit_json(doc, out_path):
-        documents.append(doc)
+        documents.append((doc, reports[-1] if reports else None))
         emit_json(doc, out_path)
 
+    def recording_assemble(spec):
+        reports.append(real_assemble(spec))
+        return reports[-1]
+
     monkeypatch.setattr(cli, "_emit_json", recording_emit_json)
+    monkeypatch.setattr(cli, "assemble", recording_assemble)
     for name, args in LADDER.items():
         for command in ("analyze", "sod", "verify"):
             assert main([command, *args, "--json"]) == 0
@@ -704,8 +739,69 @@ def test_dump_matches_json_dumps_on_every_command(monkeypatch, capsys, tmp_path)
     for name in PRESETS:  # gram, sod and mutate with the golden script
         golden_outputs(capsys, tmp_path, name)
     assert len(documents) == 3 * len(LADDER) + 5 + 1 + 3 * len(PRESETS)
-    for doc in documents:
-        assert dump(doc) == reference_dump(doc)
+    streamed = 0
+    for doc, report in documents:
+        reference = doc
+        if isinstance(doc, dict) and callable(doc.get("components")):
+            reference = {**doc, **report_to_dict(report, full="order" in doc)}
+            streamed += 1
+        assert dump(doc) == reference_dump(reference)
+    assert streamed == 2 * len(LADDER) + len(PRESETS)
+
+
+def record_sweep_specs():
+    """Specs for the record writer: the preset ladder; dimension 0 and rank 0
+    of each kind; an affine element that negates every coordinate (an
+    empty support); split point pairs; undetermined kinds; kernels that
+    hold the element negating every coordinate; and 300 seeded specs of all
+    three kinds, a third of the projective and quadric ones with that
+    element as one more generator."""
+    parser = cli.build_parser()
+    specs = [cli._load_spec(parser.parse_args(["analyze", *args])) for args in LADDER.values()]
+    specs += [make_spec(kind, 0, []) for kind in ("affine", "projective", "fermat_quadric")]
+    specs += [
+        make_spec("fermat_quadric", 0, [[1, 1]]),
+        make_spec("affine", 2, [[1, 1]]),
+        make_spec("affine", 3, [[1, 1, 0], [0, 1, 1], [1, 0, 0]]),
+        make_spec("fermat_quadric", 2, [[1, 1, 0, 0]]),
+        make_spec("projective", 2, [[1, 0, 0]]),
+        make_spec("projective", 3, [[1, 1, 1, 1], [1, 0, 0, 0]]),
+        make_spec("fermat_quadric", 3, [[1] * 5, [1, 1, 0, 0, 0]]),
+    ]
+    rng = random.Random(3005)
+    for i in range(300):
+        kind = ("affine", "projective", "fermat_quadric")[i % 3]
+        spec = random_spec(rng, kind, max_dim=5)
+        if i % 9 >= 6 and kind != "affine":  # the all-negating element as one more generator
+            spec = make_spec(kind, spec.dim, [*map(list, spec.rows), [1] * spec.num_coords])
+        specs.append(spec)
+    return specs
+
+
+def test_component_records_match_report_to_dict(tmp_path, capsys):
+    # analyze --json and sod --json write their components slot straight
+    # from the report; report_to_dict is the reference for every byte
+    seen = Counter()
+    path = tmp_path / "spec.json"
+    for spec in record_sweep_specs():
+        path.write_text(json.dumps(spec.to_dict()))
+        report = assemble(spec)
+        code, out = run(capsys, "analyze", str(path), "--json")
+        assert (code, out) == (0, reference_dump(report_to_dict(report, full=False)) + "\n"), spec.to_dict()
+        plan = cli._plan_with_gram(spec, report)
+        doc = report_to_dict(report)
+        doc["msodc"] = {**plan.to_dict(), "grouped_labels": [piece_label(report.components[i]) for i in plan.block_order]}
+        code, out = run(capsys, "sod", str(path), "--json")
+        assert (code, out) == (0, reference_dump(doc) + "\n"), spec.to_dict()
+        seen["dim 0"] += spec.dim == 0
+        seen["k = 0"] += spec.rank == 0
+        seen["empty support"] += any(not c.piece.support for c in report.components)
+        seen["split pair"] += any(c.split_index is not None for c in report.components)
+        seen["undetermined"] += any(c.coarse == "undetermined" for c in report.components)
+        seen["all-negating kernel"] += spec.kind != "affine" and any(
+            all(groups.dot(chi, g) for chi in spec.characters) for g in spec.group
+        )
+    assert all(seen.values()) and len(seen) == 6, seen
 
 
 # non-ASCII, astral, control characters, quotes and backslashes

@@ -388,6 +388,44 @@ def test_components_match_reference_at_the_rank_limit(spec):
     assert_components_match_reference(spec)
 
 
+def kernel_specs():
+    """Seeded specs of all three kinds with the element that negates every
+    coordinate as one generator, so that every sign mask's complement
+    is a sign mask too."""
+    rng = random.Random(1130)
+    specs = []
+    for kind in ("affine", "projective", "fermat_quadric"):
+        for k in range(1, 7):
+            for _ in range(4):
+                spec = random_spec(rng, kind, k, max_dim=8)  # its first generator replaced
+                specs.append(make_spec(kind, spec.dim, [*map(list, spec.rows[1:]), [1] * spec.num_coords]))
+    return specs
+
+
+def test_components_match_reference_on_kernel_specs():
+    # a complement mask replays its twin's pieces with the sectors swapped
+    for spec in kernel_specs():
+        assert_components_match_reference(spec)
+    assert_components_match_reference(make_spec("fermat_quadric", 2, [[1] * 4, [1, 1, 0, 0]]))  # split pairs
+    assert_components_match_reference(make_spec("fermat_quadric", 0, [[1, 1]]))
+
+
+def test_sector_parts_run_once_per_complementary_pair(monkeypatch):
+    import mu2sod.inertia as inertia
+
+    seen, real = [], inertia._sector_parts
+    monkeypatch.setattr(inertia, "_sector_parts", lambda spec, g, mask: seen.append(mask) or real(spec, g, mask))
+    for spec in [*kernel_specs(), pn_full(4), quadric(3), etale(4, 3)]:
+        seen.clear()
+        components(spec)
+        full = (1 << spec.num_coords) - 1
+        masks = {sum(dot(chi, g) << i for i, chi in enumerate(spec.characters)) for g in spec.group}
+        if spec.kind == "affine":  # one sector: the whole mask is the key
+            assert sorted(seen) == sorted(masks)
+        else:
+            assert sorted(min(mask, mask ^ full) for mask in seen) == sorted({min(m, m ^ full) for m in masks})
+
+
 def test_components_copy_and_pickle():
     # records of both types, pieces built unchecked by fixed_pieces among them
     spec = make_spec("fermat_quadric", 16, [[1] * 9 + [0] * 9, [1, 1] + [0] * 16])
