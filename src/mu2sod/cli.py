@@ -8,8 +8,8 @@ mutation script to a serialized sequence), ``verify`` (oracle checks).
 Inputs come either from a JSON action-spec document or from a built-in
 preset; exactly one source must be given.  Human tables are advisory;
 ``--json`` output is the stable contract, streamed a piece at a time
-(``analyze`` and ``sod`` format their component records straight from
-the report).  Exit status: 0 success, 1 verification failure, 2 input error.
+(``sod`` writes the component records of ``analyze`` and ``sod`` straight
+from the report).  Exit status: 0 success, 1 verification failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -144,38 +144,10 @@ def _write(value, newline: str):
         openers = chain(["[" + inner], repeat("," + inner))  # a big matrix is never joined
         yield from chain.from_iterable(zip(openers, _column(value, inner)))
         yield newline + "]" if value else "[]"
-    elif callable(value):  # a writer of its own text, such as _component_records
+    elif callable(value):  # a writer of its own text, such as sod's component records
         yield from value(newline)
     else:
         yield json.dumps(value)
-
-
-def _component_records(report, newline: str):
-    """``report_to_dict(report)["components"]`` as text at the nesting level
-    of ``newline``, a record at a time: each element's bits, and the fields
-    that (coarse, kind, dim, rank, split index) fix, are formatted once."""
-    record, field, entry = newline + "  ", newline + "    ", newline + "      "
-    k, sep, text = report.spec.rank, "," + entry, _INT_TEXT.__getitem__
-    elements = {g: sep.join(map(text, bit_list(g, k))) for g, _ in report.grouping}
-    opened, closed = (f"[{entry}", f"{field}]") if k else ("[", "]")  # the elements' brackets
-    shared, opener = {}, "[" + record
-    for comp in report.components:
-        g, (kind, support, dim), split_index, rank, coarse, _ = comp
-        if (key := (coarse, kind, dim, rank, split_index)) not in shared:
-            label = _ENCODE_STR(sod._label_name(kind, dim, split_index) + "[")[:-1]  # the ids follow
-            shared[key] = (
-                f'{{{field}"coarse_type": {{{entry}"dim": {dim},{entry}"kind": {_ENCODE_STR(coarse)}'
-                f'{field}}},{field}"dim": {dim},{field}"element": {opened}',
-                f'{closed},{field}"geometry": {_ENCODE_STR(kind)},{field}"label": {label}',
-                f']",{field}"rank": {rank},{field}"smooth": {_ENCODE_STR(sod._smoothness(comp))},{field}'
-                f'"split_index": {"null" if split_index is None else split_index},{field}"support": ',
-            )
-        head, middle, tail = shared[key]
-        ids = ",".join(map(text, support))  # the label's and the support's
-        listed = f"[{entry}{ids.replace(',', sep)}{field}]" if ids else "[]"
-        yield "".join((opener, head, elements[g], middle, ids, tail, listed, record, "}"))
-        opener = "," + record
-    yield newline + "]" if report.components else "[]"
 
 
 def _load_spec(args) -> ActionSpec:
@@ -196,7 +168,7 @@ def cmd_analyze(args) -> int:
     spec = _load_spec(args)
     report = assemble(spec)
     if args.json:
-        _emit_json(sod._report_doc(report, False, functools.partial(_component_records, report)), args.out)
+        _emit_json(sod._report_doc(report, False), args.out)
         return OK
     lines = [f"{'pos':>3}  {'element':>8}  {'piece':<14} {'dim':>3}  {'coarse':<16} {'rank':>4}"]
     for pos, comp in enumerate(report.components):
@@ -227,7 +199,7 @@ def cmd_sod(args) -> int:
     plan = _plan_with_gram(spec, report)
     grouped_labels = [piece_label(report.components[i]) for i in plan.block_order]
     if args.json:
-        doc = sod._report_doc(report, True, functools.partial(_component_records, report))
+        doc = sod._report_doc(report, True)
         doc["msodc"] = {**plan.to_dict(), "grouped_labels": grouped_labels}
         _emit_json(doc, args.out)
         return OK

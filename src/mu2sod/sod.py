@@ -18,12 +18,13 @@ given, without replaying the moves.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress
 
 from . import mutations
-from .groups import ActionSpec, bit_list
+from .groups import MAX_DIM, ActionSpec, bit_list
 from .inertia import InertiaComponent, components
 
 # a larger plan is refused: pn-full n = 11 (3,513,378 moves) took 1.5 GB and 21 s
@@ -86,6 +87,7 @@ def _label_name(kind: str, dim: int, split_index: int | None) -> str:
 
 
 _LETTERS = {"affine": "A", "projective": "P", "fermat": "Q"}
+_ID_TEXT = [*map(str, range(MAX_DIM + 2))]  # the text of a coordinate id or a bit
 
 
 def coarse_label(comp: InertiaComponent) -> str:
@@ -96,28 +98,18 @@ def coarse_label(comp: InertiaComponent) -> str:
 
 
 def report_to_dict(report: SodReport, full: bool = True) -> dict:
-    """The report's ``--json`` document, or only the components and flags."""
-    return _report_doc(report, full, [
-        {
-            "element": bit_list(c.element, report.spec.rank),
-            "support": list(c.piece.support),
-            "geometry": c.piece.kind,
-            "dim": c.piece.dim,
-            "coarse_type": {"kind": c.coarse, "dim": c.piece.dim},
-            "rank": c.rank,
-            "split_index": c.split_index,
-            "smooth": _smoothness(c),
-            "label": piece_label(c),
-        }
-        for c in report.components
-    ])
+    """The report's ``--json`` document, or only the components and flags;
+    each component record's keys come in sorted order."""
+    doc = _report_doc(report, full)
+    doc["components"] = json.loads("".join(doc["components"]("\n")))
+    return doc
 
 
-def _report_doc(report: SodReport, full: bool, components) -> dict:
-    """``report_to_dict``'s document around a given ``components`` value."""
+def _report_doc(report: SodReport, full: bool) -> dict:
+    """``report_to_dict``'s document, its ``components`` a writer of their text."""
     k = report.spec.rank
     doc = report.spec.to_dict() if full else {}
-    doc["components"] = components
+    doc["components"] = lambda newline: _component_records(report, newline)
     if full:
         doc["order"] = list(range(len(report.components)))
         doc["total_rank"] = report.total_rank
@@ -128,6 +120,34 @@ def _report_doc(report: SodReport, full: bool, components) -> dict:
         "smoothness_warnings": list(report.smoothness_warnings),
     }
     return doc
+
+
+def _component_records(report: SodReport, newline: str):
+    """The component records' text at the nesting level of ``newline``, a record
+    at a time: each element's bits, and the fields that (coarse, kind, dim,
+    rank, split index) fix, are formatted once."""
+    record, field, entry = newline + "  ", newline + "    ", newline + "      "
+    k, sep, text = report.spec.rank, "," + entry, _ID_TEXT.__getitem__
+    elements = {g: sep.join(map(text, bit_list(g, k))) for g, _ in report.grouping}
+    opened, closed = (f"[{entry}", f"{field}]") if k else ("[", "]")  # the elements' brackets
+    shared, opener = {}, "[" + record
+    for comp in report.components:
+        g, (kind, support, dim), split_index, rank, coarse, _ = comp
+        if (key := (coarse, kind, dim, rank, split_index)) not in shared:
+            label = json.dumps(_label_name(kind, dim, split_index) + "[")[:-1]  # the ids follow
+            shared[key] = (
+                f'{{{field}"coarse_type": {{{entry}"dim": {dim},{entry}"kind": {json.dumps(coarse)}'
+                f'{field}}},{field}"dim": {dim},{field}"element": {opened}',
+                f'{closed},{field}"geometry": {json.dumps(kind)},{field}"label": {label}',
+                f']",{field}"rank": {rank},{field}"smooth": {json.dumps(_smoothness(comp))},{field}'
+                f'"split_index": {"null" if split_index is None else split_index},{field}"support": ',
+            )
+        head, middle, tail = shared[key]
+        ids = ",".join(map(text, support))  # the label's and the support's
+        listed = f"[{entry}{ids.replace(',', sep)}{field}]" if ids else "[]"
+        yield "".join((opener, head, elements[g], middle, ids, tail, listed, record, "}"))
+        opener = "," + record
+    yield newline + "]" if report.components else "[]"
 
 
 @dataclass(frozen=True)

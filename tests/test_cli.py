@@ -19,9 +19,11 @@ from mu2sod.euler import gram_report
 from mu2sod.groups import make_spec
 from mu2sod.mutations import identity_sequence
 from mu2sod.presets import p2_example
+from corpus import corpus_specs
 from mu2sod.sod import assemble, piece_label, report_to_dict
 from test_golden import PRESETS, golden_outputs
 from test_oracle_sweep import random_spec
+from test_sod import reference_report_dict
 
 P2_DOC = {
     "space": {"kind": "projective", "dim": 2},
@@ -59,7 +61,7 @@ def test_sod_round_trip(capsys):
     code, out = run(capsys, "sod", "--preset", "p2-example", "--json")
     doc = json.loads(out)
     doc.pop("msodc")
-    assert doc == json.loads(json.dumps(report_to_dict(assemble(p2_example()))))
+    assert doc == json.loads(json.dumps(reference_report_dict(assemble(p2_example()))))
 
 
 def test_verify_etale(capsys):
@@ -714,8 +716,8 @@ LADDER = {
 
 def test_dump_matches_json_dumps_on_every_command(monkeypatch, capsys, tmp_path):
     # every command writes its --json document through cli._emit_json; the
-    # components slot of analyze and sod is text that cli._component_records
-    # writes, whose reference is report_to_dict of the report assembled for it
+    # components slot of analyze and sod is text that sod's record writer
+    # writes, whose reference is test_sod's dict rule on the report assembled for it
     documents, reports = [], []
     emit_json, real_assemble = cli._emit_json, cli.assemble
 
@@ -743,7 +745,7 @@ def test_dump_matches_json_dumps_on_every_command(monkeypatch, capsys, tmp_path)
     for doc, report in documents:
         reference = doc
         if isinstance(doc, dict) and callable(doc.get("components")):
-            reference = {**doc, **report_to_dict(report, full="order" in doc)}
+            reference = {**doc, **reference_report_dict(report, full="order" in doc)}
             streamed += 1
         assert dump(doc) == reference_dump(reference)
     assert streamed == 2 * len(LADDER) + len(PRESETS)
@@ -780,16 +782,16 @@ def record_sweep_specs():
 
 def test_component_records_match_report_to_dict(tmp_path, capsys):
     # analyze --json and sod --json write their components slot straight
-    # from the report; report_to_dict is the reference for every byte
+    # from the report; test_sod's dict rule is the reference for every byte
     seen = Counter()
     path = tmp_path / "spec.json"
     for spec in record_sweep_specs():
         path.write_text(json.dumps(spec.to_dict()))
         report = assemble(spec)
         code, out = run(capsys, "analyze", str(path), "--json")
-        assert (code, out) == (0, reference_dump(report_to_dict(report, full=False)) + "\n"), spec.to_dict()
+        assert (code, out) == (0, reference_dump(reference_report_dict(report, full=False)) + "\n"), spec.to_dict()
         plan = cli._plan_with_gram(spec, report)
-        doc = report_to_dict(report)
+        doc = reference_report_dict(report)
         doc["msodc"] = {**plan.to_dict(), "grouped_labels": [piece_label(report.components[i]) for i in plan.block_order]}
         code, out = run(capsys, "sod", str(path), "--json")
         assert (code, out) == (0, reference_dump(doc) + "\n"), spec.to_dict()
@@ -802,6 +804,14 @@ def test_component_records_match_report_to_dict(tmp_path, capsys):
             all(groups.dot(chi, g) for chi in spec.characters) for g in spec.group
         )
     assert all(seen.values()) and len(seen) == 6, seen
+
+
+def test_report_to_dict_matches_the_reference():
+    # report_to_dict reads the records back from sod's writer
+    for spec in record_sweep_specs() + corpus_specs():
+        report = assemble(spec)
+        for full in (True, False):
+            assert report_to_dict(report, full) == reference_report_dict(report, full), spec.to_dict()
 
 
 # non-ASCII, astral, control characters, quotes and backslashes

@@ -132,3 +132,16 @@ def test_traced_layers_are_callables_of_the_package():
         resolved = callable(getattr(importlib.import_module(f"mu2sod.{module}"), function, None))
         assert resolved == (name not in DEAD_LAYERS), name
     assert "inertia.classify_piece" in layers
+
+
+def test_only_sod_knows_the_component_record_layout():
+    # the record writer and the label and smoothness rules it reads stay private to sod
+    private, found = {"_label_name", "_smoothness", "_component_records"}, []
+    others = [path for path in (ROOT / "src" / "mu2sod").glob("*.py") if path.name != "sod.py"]
+    assert any(path.name == "cli.py" for path in others)
+    for path in sorted(others):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in private:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found

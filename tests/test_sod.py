@@ -5,11 +5,11 @@ import random
 import pytest
 
 from mu2sod.euler import EulerError, gram_report
-from mu2sod.groups import dot, make_spec
+from mu2sod.groups import bit_list, dot, make_spec
 from mu2sod.mutations import apply_script, identity_sequence
 from mu2sod.inertia import components
 from mu2sod.presets import etale, p2_example, pn_full, quadric
-from mu2sod.sod import assemble, msodc_plan, piece_label, report_to_dict
+from mu2sod.sod import _report_doc, assemble, msodc_plan, piece_label, report_to_dict
 from mu2sod.verify import random_effective_projective_spec
 from test_oracle_sweep import random_spec
 
@@ -259,11 +259,32 @@ def test_msodc_plan_rejects_a_gram_that_is_not_unipotent():
         msodc_plan(report, gram[:-1])
 
 
+def reference_report_dict(report, full=True):
+    """``report_to_dict(report, full)`` with each component record built as
+    a dict, by the record rule stated here apart from ``sod``'s writer."""
+    records = [
+        {
+            "element": bit_list(c.element, report.spec.rank),
+            "support": list(c.piece.support),
+            "geometry": c.piece.kind,
+            "dim": c.piece.dim,
+            "coarse_type": {"kind": c.coarse, "dim": c.piece.dim},
+            "rank": c.rank,
+            "split_index": c.split_index,
+            "smooth": "unknown" if c.coarse == "undetermined" else "smooth",
+            "label": piece_label(c),
+        }
+        for c in report.components
+    ]
+    return {**_report_doc(report, full), "components": records}
+
+
 def test_report_round_trip():
     # the document carries the spec and every int element as its
     # little-endian bit list, so both read back exactly
     for spec in [p2_example(), quadric(2), etale(3, 2), pn_full(3)]:
         report = assemble(spec)
+        assert report_to_dict(report) == reference_report_dict(report)
         doc = json.loads(json.dumps(report_to_dict(report), sort_keys=True))
         assert make_spec(doc["space"]["kind"], doc["space"]["dim"], doc["action"]) == spec
         elements = [sum(b << i for i, b in enumerate(e["element"])) for e in doc["components"]]
@@ -277,10 +298,14 @@ def test_report_round_trip():
 
 
 def test_report_dict_field_names():
-    doc = report_to_dict(assemble(p2_example()))
+    report = assemble(p2_example())
+    doc = report_to_dict(report)
+    assert doc == reference_report_dict(report)
+    assert report_to_dict(report, full=False) == reference_report_dict(report, full=False)
     assert set(doc) >= {"space", "group_rank", "action", "components", "order", "total_rank", "grouping", "flags"}
     entry = doc["components"][0]
     assert set(entry) >= {"element", "support", "geometry", "dim", "coarse_type", "rank"}
+    assert all(list(record) == sorted(record) for record in doc["components"])
     assert doc["total_rank"] == 12
 
 
