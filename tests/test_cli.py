@@ -19,8 +19,8 @@ from mu2sod.euler import gram_report
 from mu2sod.groups import make_spec
 from mu2sod.mutations import identity_sequence
 from mu2sod.presets import p2_example
-from corpus import corpus_specs
 from mu2sod.sod import assemble, piece_label, report_to_dict
+from corpus import corpus_specs
 from test_golden import PRESETS, golden_outputs
 from test_oracle_sweep import random_spec
 from test_sod import reference_report_dict
